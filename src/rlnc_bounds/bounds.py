@@ -54,6 +54,9 @@ class NetworkParams:
     eps_rd: float
 
     def __post_init__(self):
+        for name in ("n_sources", "n_relays", "q"):
+            if type(getattr(self, name)) is not int:  # bool is an int subclass
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_sources < 1:
             raise ValueError("n_sources must be >= 1")
         if self.n_relays < 1:
@@ -95,23 +98,21 @@ def dependence_prob(params: NetworkParams, weight: int, rows: int) -> float:
     return row_zero_sum_prob(params, weight) ** rows
 
 
-def _gammas(params: NetworkParams) -> list[float]:
-    return [row_zero_sum_prob(params, w) for w in range(1, params.n_sources + 1)]
-
-
-def _null_vector_sum(params: NetworkParams, rows: int, gammas: list[float]) -> float:
+def _weight_terms(params: NetworkParams) -> list[tuple[float, float]]:
+    """Per weight w = 1..N, the row-count-free parts of the null-vector
+    series: log C(N, w) + (w - 1) log(q - 1), and log(gamma_w)."""
     n, q = params.n_sources, params.q
     lq1 = math.log(q - 1.0) if q > 2 else 0.0
+    gammas = [row_zero_sum_prob(params, w) for w in range(1, n + 1)]
+    return [(_log_comb(n, w) + (w - 1) * lq1, math.log(g) if g else -math.inf)
+            for w, g in enumerate(gammas, 1)]
+
+
+def _null_vector_sum(terms: list[tuple[float, float]], rows: int) -> float:
     total = 0.0
-    for w in range(1, n + 1):
-        g = gammas[w - 1]
-        if g == 0.0:
-            if rows > 0:
-                continue  # 0^rows vanishes; ln(0) is dropped, not evaluated
-            powlog = 0.0  # 0^0 = 1
-        else:
-            powlog = rows * math.log(g)
-        total += _exp(_log_comb(n, w) + (w - 1) * lq1 + powlog)
+    for prefix, logg in terms:
+        # a zero gamma adds exp(-inf) = 0 for rows > 0, and 0^0 = 1
+        total += _exp(prefix + (rows * logg if rows else 0.0))
     return total
 
 
@@ -121,7 +122,7 @@ def expected_null_vectors(params: NetworkParams, rows: int) -> float:
     least 1 whenever rows < N (rank deficiency is then certain)."""
     if rows < 0:
         raise ValueError("rows must be >= 0")
-    return _null_vector_sum(params, rows, _gammas(params))
+    return _null_vector_sum(_weight_terms(params), rows)
 
 
 def ub_old(params: NetworkParams) -> float:
@@ -163,8 +164,8 @@ def ub_old_binomial_form(params: NetworkParams) -> float:
     :func:`ub_old`; both agree to ~1e-9 relative.
     """
     weights = _delivery_pmf(params.n_relays, params.eps_rd)
-    gammas = _gammas(params)
-    return sum(wt * _null_vector_sum(params, r, gammas)
+    terms = _weight_terms(params)
+    return sum(wt * _null_vector_sum(terms, r)
                for r, wt in enumerate(weights) if wt > 0.0)
 
 
@@ -203,19 +204,24 @@ def column_dependence_bound(params: NetworkParams, rows: int, which: str) -> flo
     """
     if rows < 0:
         raise ValueError("rows must be >= 0")
+    return _column_dependence(_dependence_logs(params, rows, which), params.n_sources, rows)
+
+
+def _dependence_logs(params: NetworkParams, max_rows: int, which: str) -> list[float]:
+    """log1p(-beta^k) for k = 0..max_rows; -inf where beta^k = 1 (bound 1)."""
     if which not in ("max", "min"):
         raise ValueError("which must be 'max' or 'min'")
-    n = params.n_sources
     spread = (1.0 - params.eps_sr) / (params.q - 1)
     beta = max(params.eps_sr, spread) if which == "max" else min(params.eps_sr, spread)
+    return [math.log1p(-beta**k) if beta**k < 1.0 else -math.inf for k in range(max_rows + 1)]
+
+
+def _column_dependence(logs: list[float], n: int, rows: int) -> float:
     if rows < n:
         return 1.0
     logprod = 0.0
-    for i in range(1, n + 1):
-        factor = beta ** (rows - i + 1)
-        if factor >= 1.0:
-            return 1.0
-        logprod += math.log1p(-factor)
+    for lg in logs[rows:rows - n:-1]:  # exponents rows - i + 1, i = 1..N
+        logprod += lg
     return -math.expm1(logprod)
 
 
@@ -244,11 +250,11 @@ def ub_new(params: NetworkParams) -> float:
     bounds a probability) before the binomial mixing -- a per-count
     minimum, not a minimum of whole distributions.
     """
-    gammas = _gammas(params)
+    n, terms = params.n_sources, _weight_terms(params)
+    dep = _dependence_logs(params, params.n_relays, "max")
 
     def term(r: int) -> float:
-        return min(column_dependence_bound(params, r, "max"),
-                   _null_vector_sum(params, r, gammas), 1.0)
+        return min(_column_dependence(dep, n, r), _null_vector_sum(terms, r), 1.0)
 
     return _mix_over_deliveries(params, term)
 
@@ -308,12 +314,14 @@ class BoundSet:
 
 def evaluate_all(params: NetworkParams, keep_tables: bool = False) -> BoundSet:
     """Evaluate every bound, sharing the per-weight and per-count tables."""
-    m = params.n_relays
-    gammas = _gammas(params)
+    n, m = params.n_sources, params.n_relays
+    terms = _weight_terms(params)
+    logs_ub = _dependence_logs(params, m, "max")
+    logs_lb = _dependence_logs(params, m, "min")
     pmf = _delivery_pmf(m, params.eps_rd)
-    nulls = [_null_vector_sum(params, r, gammas) for r in range(m + 1)]
-    dep_ub = [column_dependence_bound(params, r, "max") for r in range(m + 1)]
-    dep_lb = [column_dependence_bound(params, r, "min") for r in range(m + 1)]
+    nulls = [_null_vector_sum(terms, r) for r in range(m + 1)]
+    dep_ub = [_column_dependence(logs_ub, n, r) for r in range(m + 1)]
+    dep_lb = [_column_dependence(logs_lb, n, r) for r in range(m + 1)]
     zerocol = [zero_column_prob(params, r) for r in range(m + 1)]
 
     clamp = lambda x: min(1.0, max(0.0, x))

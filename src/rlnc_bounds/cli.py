@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bounds import NetworkParams, evaluate_all
 from .fields import MAX_ORDER, _prime_power
-from .simulate import SimEstimate, StateSpaceExceeded, estimate_pfail, exact_pfail
+from .simulate import SimEstimate, StateSpaceExceeded, check_seed, estimate_pfail, exact_pfail
 
 COLUMNS = ["n", "m", "q", "eps_sr", "eps_rd", "mu0", "lb_old", "lb_new",
            "sim_estimate", "sim_ci_low", "sim_ci_high", "ub_new",
@@ -204,8 +204,13 @@ def main(argv=None) -> int:
                                 q=args.field, eps_sr=args.eps_sr, eps_rd=args.eps_rd)
             _emit_rows([p], out, trials=0, seed=0, with_sim=False, with_exact=False)
         elif args.command == "sweep":
-            if not args.no_sim and args.trials < 1:
-                raise DomainError(f"trials must be >= 1, got {args.trials}")
+            if not args.no_sim:
+                if args.trials < 1:
+                    raise DomainError(f"trials must be >= 1, got {args.trials}")
+                try:
+                    check_seed(args.seed)
+                except ValueError as e:
+                    raise DomainError(str(e)) from e
             points, _ = _sweep_points(args)
             _emit_rows(points, out, trials=args.trials, seed=args.seed,
                        with_sim=not args.no_sim, with_exact=args.exact)

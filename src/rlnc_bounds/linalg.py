@@ -1,9 +1,10 @@
 """Rank computation and decodability tests for matrices over F_q.
 
-Elimination is division-free: a row below the pivot is replaced by
-``pivot*row - entry*pivot_row``, which never leaves the field and does not
-change the rank.  Pivoting picks the first nonzero entry in column order.
-Input matrices are never mutated; elimination always works on a copy.
+One batched elimination serves every caller.  The pivot is the first
+nonzero entry at or below the current row; the pivot row is divided by it
+(via the field's inverse table) and ``entry*pivot_row`` is subtracted from
+each row below.  Over F_2 with at most 64 columns, rows are packed into
+uint64 bit masks and eliminated with XOR.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -42,47 +43,14 @@ class CodingMatrix:
         return self.entries.shape[1]
 
 
-def _eliminate(field: FieldSpec, mat: list[list[int]], cols: int, target: int | None = None) -> int:
-    """Row-reduce ``mat`` in place and return its rank.
-
-    With ``target`` set, gives up early once the target rank is out of
-    reach; the returned value is then only guaranteed to be < target.
-    """
-    rows = len(mat)
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        if target is not None and rank + min(rows - rank, cols - c) < target:
-            return rank
-        piv = next((i for i in range(rank, rows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivrow = mat[rank]
-        pv = pivrow[c]
-        for i in range(rank + 1, rows):
-            e = mat[i][c]
-            if e:
-                row = mat[i]
-                mat[i] = [field.sub(field.mul(pv, x), field.mul(e, y))
-                          for x, y in zip(row, pivrow)]
-        rank += 1
-    return rank
-
-
 def rank(a: CodingMatrix) -> int:
     """Rank of the matrix over its field."""
-    mat = [list(map(int, r)) for r in a.entries]
-    return _eliminate(a.field, mat, a.cols)
+    return int(rank_batch(a.field, a.entries[None])[0])
 
 
 def is_decodable(a: CodingMatrix) -> bool:
     """True iff every source packet is recoverable, i.e. rank equals cols."""
-    if a.rows < a.cols:
-        return False
-    mat = [list(map(int, r)) for r in a.entries]
-    return _eliminate(a.field, mat, a.cols, target=a.cols) == a.cols
+    return int(rank_batch(a.field, a.entries[None], target=a.cols)[0]) == a.cols
 
 
 def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:

@@ -15,17 +15,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .bounds import NetworkParams
 from .fields import FieldSpec, entry_dtype, make_field
-from .linalg import CodingMatrix, _eliminate, rank_batch
+from .linalg import CodingMatrix, rank_batch
 
 _MASK64 = (1 << 64) - 1
 
 STATE_SPACE_LIMIT = 10**8
+
+# Matrices per rank_batch call in the oracle; bigger chunks buy speed with peak memory.
+_ORACLE_CHUNK = 1024
 
 
 class StateSpaceExceeded(ValueError):
@@ -99,8 +101,16 @@ def _trial_stride(params: NetworkParams) -> int:
     return -(-need // 4)
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is a valid master seed, 0 <= seed < 2^64."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+
+
 def _philox_at(seed: int, block: int) -> np.random.Philox:
-    bg = np.random.Philox(key=[seed & _MASK64, 0])
+    check_seed(seed)
+    # as a list, seeds above 2^63 would be rounded through float64
+    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     st = bg.state
     st["state"]["counter"][:] = (block & _MASK64, block >> 64, 0, 0)
     bg.state = st
@@ -123,6 +133,8 @@ def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     f = make_field(params.q)
     m, n = params.n_relays, params.n_sources
     need = m * n + m
@@ -153,12 +165,19 @@ def _singular_zero_counts(q: int, cols: int, rows: int) -> tuple[int, ...]:
     """Histogram over zero-entry counts of the rank-deficient rows x cols
     matrices over F_q, by full enumeration."""
     f = make_field(q)
-    hist = [0] * (rows * cols + 1)
-    for ent in product(range(q), repeat=rows * cols):
-        mat = [list(ent[i * cols:(i + 1) * cols]) for i in range(rows)]
-        if _eliminate(f, mat, cols, target=cols) < cols:
-            hist[ent.count(0)] += 1
-    return tuple(hist)
+    size = rows * cols
+    hist = np.zeros(size + 1, dtype=np.int64)
+    total = q**size
+    for start in range(0, total, _ORACLE_CHUNK):
+        index = np.arange(start, min(start + _ORACLE_CHUNK, total), dtype=np.int64)
+        ents = np.empty((index.size, size), dtype=entry_dtype(q))
+        for k in range(size):  # base-q digits of the matrix index
+            index, ents[:, k] = np.divmod(index, q)
+        # the chunk length, not -1, so that rows = 0 still reshapes
+        ranks = rank_batch(f, ents.reshape(len(ents), rows, cols), target=cols)
+        zeros = (ents[ranks < cols] == 0).sum(axis=1)
+        hist += np.bincount(zeros, minlength=size + 1)
+    return tuple(int(c) for c in hist)
 
 
 def exact_pfail(params: NetworkParams) -> ExactResult:

@@ -1,9 +1,10 @@
 """Shared independent oracles for the test suite.
 
 Everything here deliberately avoids the library's computation paths:
-ranks come from nullspace enumeration, probabilities from exact rational
-arithmetic, and the tiny-instance failure probability from enumerating the
-full joint (matrix, erasure-pattern) space.
+ranks come from nullspace enumeration or a scalar elimination on Python
+ints, probabilities from exact rational arithmetic, and the tiny-instance
+failure probability from enumerating the full joint (matrix,
+erasure-pattern) space.
 """
 
 import math
@@ -32,6 +33,31 @@ def nullspace_rank(field: FieldSpec, rows: list[list[int]], cols: int) -> int:
         size //= q
         nullity += 1
     return cols - nullity
+
+
+def scalar_rank(field: FieldSpec, rows, cols: int) -> int:
+    """Rank by scalar Gauss elimination, one Python int at a time.
+
+    Division-free, unlike the library's batched kernel: a row below the
+    pivot is replaced by ``pivot*row - entry*pivot_row``, which does not
+    change the rank.  Uses only the scalar ``FieldSpec`` operations.
+    """
+    mat = [[int(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pivrow = mat[rank]
+        pv = pivrow[c]
+        for i in range(rank + 1, len(mat)):
+            e = mat[i][c]
+            if e:
+                mat[i] = [field.sub(field.mul(pv, x), field.mul(e, y))
+                          for x, y in zip(mat[i], pivrow)]
+        rank += 1
+    return rank
 
 
 def _dot_is_zero(field: FieldSpec, row, x) -> bool:

@@ -35,6 +35,13 @@ def test_params_validation():
     P(3, 2, 2, 0.0, 1.0)  # fewer relays than sources is accepted
 
 
+@pytest.mark.parametrize("args", [(True, 2, 2, 0.3, 0.1), (2, True, 2, 0.3, 0.1),
+                                  (2.0, 2, 2, 0.3, 0.1), (2, 2, 4.0, 0.3, 0.1)])
+def test_params_reject_non_integer_counts(args):
+    with pytest.raises(ValueError, match="integer"):
+        P(*args)
+
+
 # ---------------------------------------------------------------------------
 # row zero-sum probability
 
@@ -295,3 +302,23 @@ def test_evaluate_all_keeps_per_delivery_tables_on_request():
     assert t.expected_null_vectors[5] == pytest.approx(expected_null_vectors(p, 5), rel=1e-12)
     for r in range(6):
         assert t.dependence_lb[r] <= t.dependence_ub[r] + 1e-12
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 64, 2**31 - 1])
+def test_per_delivery_tables_equal_the_per_count_functions(q):
+    # exact equality: the tables hoist r-independent terms out of the loops
+    # and must not move a bit.  q = 2 with eps_sr = 0 has gamma_w = 0 for odd
+    # w; eps_sr = 1 has beta = 1.
+    for n, m in ((1, 3), (3, 2), (4, 9), (12, 20)):
+        for esr in (0.0, 0.3, 1.0 / q, 0.8, 1.0):
+            for erd in (0.0, 0.2, 1.0):
+                p = P(n, m, q, esr, erd)
+                bs = evaluate_all(p, keep_tables=True)
+                t = bs.tables
+                for r in range(m + 1):
+                    assert t.expected_null_vectors[r] == expected_null_vectors(p, r)
+                    assert t.dependence_ub[r] == column_dependence_bound(p, r, "max")
+                    assert t.dependence_lb[r] == column_dependence_bound(p, r, "min")
+                    assert t.zero_column_prob[r] == zero_column_prob(p, r)
+                assert bs.mu0 == expected_null_vectors(p, m)
+                assert bs.ub_new == ub_new(p) and bs.lb_new == lb_new(p)

@@ -1,10 +1,15 @@
 import csv
 import io
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from rlnc_bounds.cli import COLUMNS, main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import workloads  # noqa: E402  (the benchmark's workloads and reference bytes)
 
 
 def run_cli(*argv):
@@ -197,3 +202,25 @@ def test_nonpositive_trials_exit_with_usage_error():
 
 def test_missing_required_flags_exit_with_usage_error():
     assert run_cli("bounds", "--sources", "2")[0] == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_with_usage_error(seed):
+    code, out, err = run_cli("sweep", "--preset", "fig3", "--trials", "10", "--seed", seed)
+    assert code == 2 and "seed" in err and out == ""
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the benchmark's recorded reference
+
+
+@pytest.mark.parametrize("part", [workloads.BOUNDS_GRID, workloads.EXACT_ORACLE],
+                         ids=lambda part: part.name)
+def test_output_bytes_match_the_benchmark_reference(part):
+    want = workloads.load_part_reference(part)["static"]
+    argvs = part.argvs(0)
+    assert len(argvs) == len(want)
+    for argv, lines in zip(argvs, want):
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        assert workloads.static_lines(out) == lines, argv

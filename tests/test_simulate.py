@@ -1,5 +1,7 @@
 import math
+import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,10 +9,11 @@ import pytest
 from rlnc_bounds.bounds import NetworkParams, lb_new, lb_old, ub_new, ub_old
 from rlnc_bounds.fields import make_field
 from rlnc_bounds.linalg import is_decodable
+from rlnc_bounds import simulate
 from rlnc_bounds.simulate import (StateSpaceExceeded, estimate_pfail,
                                   exact_pfail, sample_coefficient,
                                   sample_received_matrix, trial_rng)
-from support import exact_pfail_full_joint
+from support import exact_pfail_full_joint, scalar_rank
 
 
 def P(n, m, q, esr, erd):
@@ -88,6 +91,35 @@ def test_exact_frozen_value_and_state_count():
     r = exact_pfail(P(2, 3, 2, 0.2, 0.1))
     assert r.p_fail == pytest.approx(float(Fraction(780893, 1953125)), abs=1e-15)
     assert r.state_count == 512  # 2^(3*2) matrices x 2^3 erasure patterns
+
+
+def _scalar_zero_counts(q, cols, rows):
+    f = make_field(q)
+    hist = [0] * (rows * cols + 1)
+    for ent in product(range(q), repeat=rows * cols):
+        mat = [ent[i * cols:(i + 1) * cols] for i in range(rows)]
+        if scalar_rank(f, mat, cols) < cols:
+            hist[ent.count(0)] += 1
+    return tuple(hist)
+
+
+# rows = 0, rows < cols, rows = cols and rows > cols; 2^9 = 512 and 3^6 = 729
+# matrices are not multiples of the patched chunk of 7
+ZERO_COUNT_CASES = [(2, 3, 0), (2, 3, 2), (2, 3, 3), (2, 2, 4), (3, 2, 3), (4, 2, 2),
+                    (5, 2, 2), (9, 2, 2), (9, 1, 3)]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_singular_zero_counts_match_scalar_enumeration(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(simulate, "_ORACLE_CHUNK", chunk)
+    simulate._singular_zero_counts.cache_clear()
+    try:
+        for q, cols, rows in ZERO_COUNT_CASES:
+            got = simulate._singular_zero_counts(q, cols, rows)
+            assert got == _scalar_zero_counts(q, cols, rows), (q, cols, rows)
+    finally:
+        simulate._singular_zero_counts.cache_clear()
 
 
 def test_exact_guard_rejects_large_instances():
@@ -175,3 +207,28 @@ def test_batched_estimator_equals_per_trial_sampling():
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         estimate_pfail(P(1, 1, 2, 0.5, 0.5), trials=0)
+
+
+def test_batch_size_must_be_positive():
+    with pytest.raises(ValueError, match="batch_size"):
+        estimate_pfail(P(1, 1, 2, 0.5, 0.5), trials=10, batch_size=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seeds_are_rejected(seed):
+    p = P(3, 5, 2, 0.3, 0.1)
+    with pytest.raises(ValueError, match="seed"):
+        estimate_pfail(p, 100, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        trial_rng(p, seed, 0)
+
+
+def test_seeds_above_2_63_keep_their_own_stream():
+    # a list key would round these through float64: 2^63 + 1 onto 2^63,
+    # and 2^64 - 1 onto 0 with a cast warning
+    p = P(3, 5, 2, 0.3, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = {s: trial_rng(p, s, 0).random(4).tolist()
+                 for s in (0, 2**63, 2**63 + 1, 2**64 - 1)}
+    assert len({tuple(d) for d in draws.values()}) == 4
