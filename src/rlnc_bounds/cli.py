@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from dataclasses import dataclass
 
@@ -193,12 +194,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
 
-    out = sys.stdout
-    close = False
+    # rows are rendered into a buffer and written only once the whole run
+    # has succeeded, so a rejected run leaves an existing --output untouched
+    out = io.StringIO()
     try:
-        if args.output:
-            out = open(args.output, "w", newline="")
-            close = True
         if args.command == "bounds":
             p = _checked_params(n_sources=args.sources, n_relays=args.relays,
                                 q=args.field, eps_sr=args.eps_sr, eps_rd=args.eps_rd)
@@ -224,9 +223,11 @@ def main(argv=None) -> int:
     except StateSpaceExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_GUARD
-    finally:
-        if close:
-            out.close()
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
+            fh.write(out.getvalue())
+    else:
+        sys.stdout.write(out.getvalue())
     return EXIT_OK
 
 

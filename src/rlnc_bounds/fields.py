@@ -357,6 +357,25 @@ def _inv_table(f: FieldSpec) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _log_exp_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Log and exp tables of an extension field for products
+    ``exp[log[a] + log[b] + lc]``, where ``lc`` in ``[0, q - 1)`` is the log
+    of a nonzero factor.
+
+    The log of 0 is a sentinel above every sum of three true logs, and the
+    exp table is zero from the sentinel on, so a product with a zero factor
+    is 0.
+    """
+    order = f.q - 1
+    zero = 3 * order
+    log = f.log_table.astype(np.intp)
+    log[0] = zero
+    exp = np.zeros(2 * zero + order, dtype=entry_dtype(f.q))
+    exp[:zero] = np.tile(f.exp_table[:order], 3)
+    return log, exp
+
+
 def array_inv(f: FieldSpec, a):
     """Element-wise inverse; entries must be nonzero."""
     return _inv_table(f)[np.asarray(a, dtype=np.int64)]

@@ -64,13 +64,18 @@ def _coefficient_from_uniform(u: float, eps_sr: float, q: int) -> int:
 
 
 def _coefficients_from_uniform(u: np.ndarray, eps_sr: float, q: int) -> np.ndarray:
-    out = np.zeros(u.shape, dtype=entry_dtype(q))
     if eps_sr >= 1.0:
-        return out
-    scaled = 1 + ((u - eps_sr) * ((q - 1) / (1.0 - eps_sr))).astype(np.int64)
-    np.minimum(scaled, q - 1, out=scaled)
-    nz = u >= eps_sr
-    out[nz] = scaled[nz].astype(out.dtype)
+        return np.zeros(u.shape, dtype=entry_dtype(q))
+    if q == 2:
+        return (u >= eps_sr).view(np.uint8)
+    x = u - eps_sr
+    x *= (q - 1) / (1.0 - eps_sr)
+    # min(1 + trunc(x), q - 1) == 1 + trunc(min(x, q - 2)) for x >= 0; the
+    # clip at 0 only touches entries the mask zeroes
+    np.clip(x, 0, q - 2, out=x)
+    out = x.astype(entry_dtype(q))
+    out += 1
+    out *= u >= eps_sr
     return out
 
 

@@ -210,17 +210,37 @@ def test_out_of_range_seed_exits_with_usage_error(seed):
     assert code == 2 and "seed" in err and out == ""
 
 
+@pytest.mark.parametrize("want_code, argv", [
+    (2, ["sweep", "--preset", "fig2", "--seed", "-1"]),
+    (3, ["exact", "--sources", "3", "--relays", "20", "--field", "64",
+         "--eps-sr", "0.2", "--eps-rd", "0.1"]),
+])
+def test_rejected_run_leaves_the_output_file_untouched(tmp_path, want_code, argv):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"earlier results\n")
+    code, out, _ = run_cli(*argv, "--output", str(target))
+    assert code == want_code and out == ""
+    assert target.read_bytes() == b"earlier results\n"
+
+
 # ---------------------------------------------------------------------------
 # byte identity with the benchmark's recorded reference
 
 
-@pytest.mark.parametrize("part", [workloads.BOUNDS_GRID, workloads.EXACT_ORACLE],
+@pytest.mark.parametrize("part", [workloads.BOUNDS_GRID, workloads.EXACT_ORACLE,
+                                  workloads.PRESETS_SIM, workloads.Q_AXIS_SIM],
                          ids=lambda part: part.name)
 def test_output_bytes_match_the_benchmark_reference(part):
-    want = workloads.load_part_reference(part)["static"]
+    ref = workloads.load_part_reference(part)
+    want = ref["static"]
+    # full-row digests of the recorded seed 0 pin the simulated failure counts
+    digests = ref["digests"]["0"] if part.trials else None
     argvs = part.argvs(0)
     assert len(argvs) == len(want)
-    for argv, lines in zip(argvs, want):
+    for i, (argv, lines) in enumerate(zip(argvs, want)):
         code, out, _ = run_cli(*argv)
         assert code == 0
         assert workloads.static_lines(out) == lines, argv
+        if digests is not None:
+            rows = out.splitlines()[1:]
+            assert [workloads.row_digest(row) for row in rows] == digests[i], argv

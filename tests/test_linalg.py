@@ -121,7 +121,7 @@ def test_rank_invariant_under_row_operations():
 # batched kernel
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 64, 257, 4096])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 64, 243, 257, 3125, 4096, 65521])
 def test_rank_batch_matches_scalar(q):
     rng = np.random.default_rng(q)
     f = make_field(q)
@@ -131,7 +131,7 @@ def test_rank_batch_matches_scalar(q):
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("q", [2, 4, 9, 257])
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 64, 257, 65536])
 def test_rank_batch_target_decision_agrees(q):
     rng = np.random.default_rng(q + 1)
     f = make_field(q)
@@ -140,6 +140,31 @@ def test_rank_batch_target_decision_agrees(q):
     early = rank_batch(f, mats, target=4)
     assert ((early < 4) == (full < 4)).all()
     assert (early[early >= 4] == full[early >= 4]).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 64, 65536])
+def test_rank_batch_figure_sized_stacks(q):
+    # sparse entries and erased rows, as the simulator draws them, so that
+    # matrices leave the working stack part-way through
+    rng = np.random.default_rng(q + 2)
+    f = make_field(q)
+    mats = rng.integers(1, q, size=(300, 25, 20)) * (rng.random((300, 25, 20)) < 0.4)
+    mats *= rng.random((300, 25, 1)) < 0.85
+    want = np.array([scalar_rank(f, m, 20) for m in mats])
+    assert 0 < (want < 20).sum() < len(mats)
+    assert ((rank_batch(f, mats, target=20) < 20) == (want < 20)).all()
+    assert (rank_batch(f, mats) == want).all()
+
+
+def test_rank_batch_binary_at_the_widest_packed_width():
+    rng = np.random.default_rng(64)
+    f = make_field(2)
+    mats = rng.integers(0, 2, size=(40, 66, 64))
+    mats[20:, :, 63] = mats[20:, :, 0]  # a repeated last column: deficient
+    got = rank_batch(f, mats)
+    want = [scalar_rank(f, m, 64) for m in mats]
+    assert got.tolist() == want
+    assert 64 in want and max(want[20:]) < 64
 
 
 def test_rank_batch_wide_binary_matrices_use_generic_path():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rlnc_bounds.bounds import NetworkParams, lb_new, lb_old, ub_new, ub_old
-from rlnc_bounds.fields import make_field
+from rlnc_bounds.fields import entry_dtype, make_field
 from rlnc_bounds.linalg import is_decodable
 from rlnc_bounds import simulate
 from rlnc_bounds.simulate import (StateSpaceExceeded, estimate_pfail,
@@ -46,6 +46,21 @@ def test_coefficient_frequencies_match_the_model():
     for value, want in enumerate([0.5, 1 / 6, 1 / 6, 1 / 6]):
         tol = 4.0 * math.sqrt(want * (1 - want) / n)
         assert abs(counts[value] / n - want) < tol, (value, counts[value] / n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 64, 256, 257, 65536])
+def test_coefficient_mapping_matches_its_scalar_twin(q):
+    philox = np.random.Generator(np.random.Philox(q)).random(10**5)
+    for eps in (0.0, 0.3, 0.5, 0.7, float(np.nextafter(1.0, 0.0)), 1.0):
+        edges = [0.0, eps, np.nextafter(eps, -1.0), np.nextafter(eps, 1.0),
+                 np.nextafter(1.0, 0.0)]
+        u = np.concatenate([edges, philox])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = simulate._coefficients_from_uniform(u, eps, q)
+        assert got.dtype == entry_dtype(q)
+        want = [simulate._coefficient_from_uniform(x, eps, q) for x in u.tolist()]
+        assert got.tolist() == want, eps
 
 
 # ---------------------------------------------------------------------------
