@@ -14,9 +14,11 @@ eps_sr, eps_rd) network:
 * ``zero_column_prob``       -- probability that some source column is
   all-zero among the delivered rows,
 * ``ub_old`` / ``lb_old``    -- the classic bounds,
-* ``ub_new`` / ``lb_new``    -- their sharpened versions, which mix a
-  per-delivered-count minimum (resp. maximum) of the quantities above
-  under the binomial delivery distribution.
+* ``evaluate_all``          -- all of the above as one :class:`BoundSet`,
+  with the sharpened bounds ``ub_new`` / ``lb_new``: a per-delivered-count
+  minimum (resp. maximum) of the quantities above, mixed under the
+  binomial delivery distribution.  It is the one place that mixes them;
+  the functions ``ub_new`` and ``lb_new`` read its result.
 
 Every series is evaluated term-by-term as exp(sum of logs) so that huge
 binomial weights and vanishing powers combine without overflow; all terms
@@ -90,14 +92,6 @@ def row_zero_sum_prob(params: NetworkParams, weight: int) -> float:
     return min(1.0, max(0.0, _row_zero_sum_raw(params, weight)))
 
 
-def dependence_prob(params: NetworkParams, weight: int, rows: int) -> float:
-    """Probability that ``rows`` independent coding rows all cancel a fixed
-    weight-``weight`` combination; 1 for rows = 0 (empty conjunction)."""
-    if rows < 0:
-        raise ValueError("rows must be >= 0")
-    return row_zero_sum_prob(params, weight) ** rows
-
-
 def _weight_terms(params: NetworkParams) -> list[tuple[float, float]]:
     """Per weight w = 1..N, the row-count-free parts of the null-vector
     series: log C(N, w) + (w - 1) log(q - 1), and log(gamma_w)."""
@@ -129,8 +123,8 @@ def ub_old(params: NetworkParams) -> float:
     """Classic upper bound (raw).
 
     Folds relay-side erasures into each row term and is reported unclamped:
-    the value exceeding 1 in loose regimes is part of its behaviour.  Use
-    :func:`ub_old_clamped` for the min(., 1) view.
+    the value exceeding 1 in loose regimes is part of its behaviour.
+    :class:`BoundSet` carries the min(., 1) view as ``ub_old_clamped``.
     """
     n, m, q = params.n_sources, params.n_relays, params.q
     lq1 = math.log(q - 1.0) if q > 2 else 0.0
@@ -143,10 +137,6 @@ def ub_old(params: NetworkParams) -> float:
     return total
 
 
-def ub_old_clamped(params: NetworkParams) -> float:
-    return min(1.0, ub_old(params))
-
-
 def _delivery_pmf(m: int, eps_rd: float) -> list[float]:
     """Binomial(m, 1 - eps_rd) over the number of delivered rows."""
     if eps_rd == 0.0:
@@ -157,41 +147,15 @@ def _delivery_pmf(m: int, eps_rd: float) -> list[float]:
     return [_exp(_log_comb(m, r) + r * lp + (m - r) * lq) for r in range(m + 1)]
 
 
-def ub_old_binomial_form(params: NetworkParams) -> float:
-    """The classic upper bound re-grouped by delivered-row count.
-
-    Exists to property-test the binomial-theorem identity with
-    :func:`ub_old`; both agree to ~1e-9 relative.
-    """
-    weights = _delivery_pmf(params.n_relays, params.eps_rd)
-    terms = _weight_terms(params)
-    return sum(wt * _null_vector_sum(terms, r)
-               for r, wt in enumerate(weights) if wt > 0.0)
-
-
 def lb_old(params: NetworkParams) -> float:
-    """Classic lower bound: driven by sources whose column dies end-to-end.
-
-    Both the binomial-sum form and its closed form 1 - (1 - e^M)^N are
-    evaluated and cross-checked before the closed form is returned.
-    """
+    """Classic lower bound 1 - (1 - e^M)^N, driven by sources whose column
+    dies end-to-end; e = eps_sr + eps_rd - eps_sr*eps_rd."""
     n, m = params.n_sources, params.n_relays
     eff = params.eps_sr + params.eps_rd - params.eps_sr * params.eps_rd
     a = eff**m
     if a >= 1.0:
-        closed = 1.0
-        sumform = 1.0
-    elif a == 0.0:
-        closed = 0.0
-        sumform = 0.0
-    else:
-        closed = -math.expm1(n * math.log1p(-a))
-        la, l1a = math.log(a), math.log1p(-a)
-        sumform = sum(_exp(_log_comb(n, k) + k * la + (n - k) * l1a)
-                      for k in range(1, n + 1))
-    if abs(closed - sumform) > 1e-12:
-        raise AssertionError(f"lower-bound forms disagree: {closed} vs {sumform}")
-    return closed
+        return 1.0
+    return -math.expm1(n * math.log1p(-a))
 
 
 def column_dependence_bound(params: NetworkParams, rows: int, which: str) -> float:
@@ -236,43 +200,19 @@ def zero_column_prob(params: NetworkParams, rows: int) -> float:
     return -math.expm1(params.n_sources * math.log1p(-a))
 
 
-def _mix_over_deliveries(params: NetworkParams, per_row_value) -> float:
-    weights = _delivery_pmf(params.n_relays, params.eps_rd)
-    total = sum(wt * per_row_value(r) for r, wt in enumerate(weights) if wt > 0.0)
-    return min(1.0, max(0.0, total))
-
-
 def ub_new(params: NetworkParams) -> float:
-    """Sharpened upper bound.
-
-    For each possible delivered-row count the smaller of the expected-count
-    and column-dependence bounds is taken (capped at 1, since each term
-    bounds a probability) before the binomial mixing -- a per-count
-    minimum, not a minimum of whole distributions.
-    """
-    n, terms = params.n_sources, _weight_terms(params)
-    dep = _dependence_logs(params, params.n_relays, "max")
-
-    def term(r: int) -> float:
-        return min(_column_dependence(dep, n, r), _null_vector_sum(terms, r), 1.0)
-
-    return _mix_over_deliveries(params, term)
+    """Sharpened upper bound; see :func:`evaluate_all`."""
+    return evaluate_all(params).ub_new
 
 
 def lb_new(params: NetworkParams) -> float:
-    """Sharpened lower bound: mirrors :func:`ub_new` with a per-count
-    maximum of the column-dependence and all-zero-column bounds."""
-
-    def term(r: int) -> float:
-        return max(column_dependence_bound(params, r, "min"),
-                   zero_column_prob(params, r))
-
-    return _mix_over_deliveries(params, term)
+    """Sharpened lower bound; see :func:`evaluate_all`."""
+    return evaluate_all(params).lb_new
 
 
 @dataclass(frozen=True)
 class PerDeliveryTables:
-    """Per-delivered-count intermediates, index r = 0..M, for diagnostics."""
+    """Per-delivered-count intermediates, index r = 0..M."""
 
     delivery_pmf: tuple[float, ...]
     expected_null_vectors: tuple[float, ...]
@@ -297,7 +237,7 @@ class BoundSet:
     ub_new: float
     ub_old_clamped: float
     ub_old_raw: float
-    tables: PerDeliveryTables | None = None
+    tables: PerDeliveryTables
 
     def __post_init__(self):
         for name in ("lb_old", "lb_new", "ub_new", "ub_old_clamped"):
@@ -312,8 +252,16 @@ class BoundSet:
             raise ValueError(f"ub_new={self.ub_new} exceeds the classic bound {self.ub_old_raw}")
 
 
-def evaluate_all(params: NetworkParams, keep_tables: bool = False) -> BoundSet:
-    """Evaluate every bound, sharing the per-weight and per-count tables."""
+def evaluate_all(params: NetworkParams) -> BoundSet:
+    """Evaluate every bound, sharing the per-weight and per-count tables.
+
+    The sharpened bounds mix per-delivered-count terms under the binomial
+    delivery distribution.  For ``ub_new`` each term is the smaller of the
+    expected-count and column-dependence bounds, capped at 1 since each
+    bounds a probability -- a per-count minimum, not a minimum of whole
+    distributions.  ``lb_new`` mirrors it with a per-count maximum of the
+    column-dependence and all-zero-column bounds.
+    """
     n, m = params.n_sources, params.n_relays
     terms = _weight_terms(params)
     logs_ub = _dependence_logs(params, m, "max")
@@ -328,11 +276,8 @@ def evaluate_all(params: NetworkParams, keep_tables: bool = False) -> BoundSet:
     up = clamp(sum(wt * min(dep_ub[r], nulls[r], 1.0) for r, wt in enumerate(pmf)))
     low = clamp(sum(wt * max(dep_lb[r], zerocol[r]) for r, wt in enumerate(pmf)))
     raw = ub_old(params)
-
-    tables = None
-    if keep_tables:
-        tables = PerDeliveryTables(tuple(pmf), tuple(nulls), tuple(dep_ub),
-                                   tuple(dep_lb), tuple(zerocol))
+    tables = PerDeliveryTables(tuple(pmf), tuple(nulls), tuple(dep_ub),
+                               tuple(dep_lb), tuple(zerocol))
     return BoundSet(params=params, mu0=nulls[m], lb_old=lb_old(params), lb_new=low,
                     ub_new=up, ub_old_clamped=min(1.0, raw), ub_old_raw=raw,
                     tables=tables)

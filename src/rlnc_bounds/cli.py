@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from .bounds import NetworkParams, evaluate_all
-from .fields import MAX_ORDER, _prime_power
+from .fields import MAX_ORDER
 from .simulate import SimEstimate, StateSpaceExceeded, check_seed, estimate_pfail, exact_pfail
 
 COLUMNS = ["n", "m", "q", "eps_sr", "eps_rd", "mu0", "lb_old", "lb_new",
@@ -46,40 +47,29 @@ class DomainError(ValueError):
     """Invalid argument values detected after parsing."""
 
 
-@dataclass
-class SweepSpec:
-    """A single-axis sweep around a base parameter set."""
-
-    base: NetworkParams
-    swept_axis: str  # eps_sr | eps_rd | n_relays | q
-    values: list
-    trials: int
-    seed: int
-    include_sim: bool
-    include_exact: bool = False
-
-    def points(self) -> list[NetworkParams]:
-        if not self.values:
-            raise DomainError("sweep needs at least one value")
-        out = []
-        for v in self.values:
-            kw = dict(n_sources=self.base.n_sources, n_relays=self.base.n_relays,
-                      q=self.base.q, eps_sr=self.base.eps_sr, eps_rd=self.base.eps_rd)
-            kw[self.swept_axis] = v
-            out.append(_checked_params(**kw))
-        return out
-
-
 def _checked_params(**kw) -> NetworkParams:
-    q = kw["q"]
-    if _prime_power(q) is None:
-        raise DomainError(f"field order must be a prime power, got {q}")
-    if q > MAX_ORDER:
-        raise DomainError(f"field order must be at most {MAX_ORDER}, got {q}")
     try:
-        return NetworkParams(**kw)
+        p = NetworkParams(**kw)
     except ValueError as e:
         raise DomainError(str(e)) from e
+    if p.q > MAX_ORDER:
+        raise DomainError(f"field order must be at most {MAX_ORDER}, got {p.q}")
+    return p
+
+
+def _base_params(args) -> NetworkParams:
+    return _checked_params(n_sources=args.sources, n_relays=args.relays, q=args.field,
+                           eps_sr=args.eps_sr, eps_rd=args.eps_rd)
+
+
+def _check_output(path: str) -> None:
+    """Reject an ``--output`` path that cannot be written, before any point
+    is computed."""
+    if os.path.isdir(path):
+        raise DomainError(f"cannot write --output {path}: it is a directory")
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise DomainError(f"cannot write --output {path}: no directory {folder}")
 
 
 def _fmt(x) -> str:
@@ -157,11 +147,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _sweep_points(args) -> tuple[list[NetworkParams], bool]:
+def _sweep_points(args) -> list[NetworkParams]:
     if args.preset and args.axis:
         raise DomainError("--preset and --axis are mutually exclusive")
     if args.preset:
-        return [_checked_params(**kw) for kw in _PRESETS[args.preset]], True
+        return [_checked_params(**kw) for kw in _PRESETS[args.preset]]
     if not args.axis:
         raise DomainError("sweep needs --preset or --axis")
     missing = [f for f in ("sources", "relays", "field", "eps_sr", "eps_rd")
@@ -170,8 +160,7 @@ def _sweep_points(args) -> tuple[list[NetworkParams], bool]:
         raise DomainError(f"--axis sweeps need base parameters; missing: {', '.join(missing)}")
     if not args.values:
         raise DomainError("--axis sweeps need --values")
-    axis = args.axis.replace("-", "_")
-    axis_field = {"eps_sr": "eps_sr", "eps_rd": "eps_rd", "relays": "n_relays", "q": "q"}[axis]
+    axis_field = {"eps-sr": "eps_sr", "eps-rd": "eps_rd", "relays": "n_relays", "q": "q"}[args.axis]
     try:
         if axis_field in ("n_relays", "q"):
             values = [int(v) for v in args.values.split(",")]
@@ -179,12 +168,8 @@ def _sweep_points(args) -> tuple[list[NetworkParams], bool]:
             values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise DomainError(f"bad --values list: {args.values}") from exc
-    base = _checked_params(n_sources=args.sources, n_relays=args.relays, q=args.field,
-                           eps_sr=args.eps_sr, eps_rd=args.eps_rd)
-    spec = SweepSpec(base=base, swept_axis=axis_field, values=values,
-                     trials=args.trials, seed=args.seed,
-                     include_sim=not args.no_sim, include_exact=args.exact)
-    return spec.points(), False
+    base = asdict(_base_params(args))
+    return [_checked_params(**{**base, axis_field: v}) for v in values]
 
 
 def main(argv=None) -> int:
@@ -198,10 +183,11 @@ def main(argv=None) -> int:
     # has succeeded, so a rejected run leaves an existing --output untouched
     out = io.StringIO()
     try:
+        if args.output:
+            _check_output(args.output)
         if args.command == "bounds":
-            p = _checked_params(n_sources=args.sources, n_relays=args.relays,
-                                q=args.field, eps_sr=args.eps_sr, eps_rd=args.eps_rd)
-            _emit_rows([p], out, trials=0, seed=0, with_sim=False, with_exact=False)
+            _emit_rows([_base_params(args)], out, trials=0, seed=0, with_sim=False,
+                       with_exact=False)
         elif args.command == "sweep":
             if not args.no_sim:
                 if args.trials < 1:
@@ -210,13 +196,11 @@ def main(argv=None) -> int:
                     check_seed(args.seed)
                 except ValueError as e:
                     raise DomainError(str(e)) from e
-            points, _ = _sweep_points(args)
-            _emit_rows(points, out, trials=args.trials, seed=args.seed,
+            _emit_rows(_sweep_points(args), out, trials=args.trials, seed=args.seed,
                        with_sim=not args.no_sim, with_exact=args.exact)
         else:  # exact
-            p = _checked_params(n_sources=args.sources, n_relays=args.relays,
-                                q=args.field, eps_sr=args.eps_sr, eps_rd=args.eps_rd)
-            _emit_rows([p], out, trials=0, seed=0, with_sim=False, with_exact=True)
+            _emit_rows([_base_params(args)], out, trials=0, seed=0, with_sim=False,
+                       with_exact=True)
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -224,8 +208,12 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_GUARD
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(out.getvalue())
+        try:
+            with open(args.output, "w", newline="") as fh:
+                fh.write(out.getvalue())
+        except OSError as e:
+            print(f"error: cannot write --output {args.output}: {e.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(out.getvalue())
     return EXIT_OK

@@ -375,7 +375,3 @@ def _log_exp_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     exp[:zero] = np.tile(f.exp_table[:order], 3)
     return log, exp
 
-
-def array_inv(f: FieldSpec, a):
-    """Element-wise inverse; entries must be nonzero."""
-    return _inv_table(f)[np.asarray(a, dtype=np.int64)]

@@ -1,4 +1,4 @@
-"""Rank computation and decodability tests for matrices over F_q.
+"""Batched rank computation for matrices over F_q.
 
 One batched, swap-free elimination serves every caller.  At column c each
 matrix takes its first row with a nonzero entry as the pivot row, and
@@ -18,49 +18,10 @@ are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import (FieldSpec, _inv_table, _log_exp_tables, array_mul, array_sub,
                      entry_dtype)
-
-
-@dataclass(frozen=True)
-class CodingMatrix:
-    """A stack of received coding vectors: one row per delivered packet."""
-
-    field: FieldSpec
-    entries: np.ndarray  # (rows, cols), values in [0, q)
-
-    def __post_init__(self):
-        ents = np.asarray(self.entries, dtype=np.int64)
-        if ents.ndim != 2:
-            raise ValueError(f"entries must be a rows x cols array, got shape {ents.shape}")
-        if ents.shape[1] < 1:
-            raise ValueError("a coding matrix needs at least one source column")
-        if ents.size and (ents.min() < 0 or ents.max() >= self.field.q):
-            raise ValueError(f"entries must lie in [0, {self.field.q})")
-        ents.flags.writeable = False
-        object.__setattr__(self, "entries", ents)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-
-def rank(a: CodingMatrix) -> int:
-    """Rank of the matrix over its field."""
-    return int(rank_batch(a.field, a.entries[None])[0])
-
-
-def is_decodable(a: CodingMatrix) -> bool:
-    """True iff every source packet is recoverable, i.e. rank equals cols."""
-    return int(rank_batch(a.field, a.entries[None], target=a.cols)[0]) == a.cols
 
 
 def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:

@@ -6,7 +6,11 @@ Philox counter-based stream keyed by the master seed.  Trial t reads its
 uniforms from counter blocks [t*S, (t+1)*S), where S depends only on the
 network dimensions, so the estimate is identical no matter how trials are
 batched or distributed across workers.  Within a trial the draw order is:
-M*N coefficient uniforms (row-major), then M delivery uniforms.
+M*N coefficient uniforms (row-major), then M delivery uniforms.  The
+Philox key is ``[seed, 0]`` as uint64 and S = ceil((M*N + M) / 4), since
+each counter block yields four doubles.  ``tests/support.py`` replays this
+contract one trial at a time, as the reference the batched estimator must
+match.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import NetworkParams
-from .fields import FieldSpec, entry_dtype, make_field
-from .linalg import CodingMatrix, rank_batch
+from .fields import entry_dtype, make_field
+from .linalg import rank_batch
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,14 +60,11 @@ class ExactResult:
     state_count: int
 
 
-def _coefficient_from_uniform(u: float, eps_sr: float, q: int) -> int:
-    # the operation order must match _coefficients_from_uniform bit-for-bit
-    if u < eps_sr or eps_sr >= 1.0:
-        return 0
-    return min(q - 1, 1 + int((u - eps_sr) * ((q - 1) / (1.0 - eps_sr))))
-
-
 def _coefficients_from_uniform(u: np.ndarray, eps_sr: float, q: int) -> np.ndarray:
+    """Map uniforms to coding coefficients: zero below eps_sr, otherwise
+    min(q - 1, 1 + trunc((u - eps_sr) * ((q - 1) / (1 - eps_sr)))), in that
+    operation order, so that it matches the scalar reference in
+    ``tests/support.py`` bit for bit."""
     if eps_sr >= 1.0:
         return np.zeros(u.shape, dtype=entry_dtype(q))
     if q == 2:
@@ -77,27 +78,6 @@ def _coefficients_from_uniform(u: np.ndarray, eps_sr: float, q: int) -> np.ndarr
     out += 1
     out *= u >= eps_sr
     return out
-
-
-def sample_coefficient(f: FieldSpec, eps_sr: float, rng: np.random.Generator) -> int:
-    """One draw of a coding coefficient: zero with probability eps_sr,
-    otherwise uniform over the q - 1 nonzero elements."""
-    return _coefficient_from_uniform(rng.random(), eps_sr, f.q)
-
-
-def sample_received_matrix(params: NetworkParams, rng: np.random.Generator) -> CodingMatrix:
-    """Draw one received coding matrix.
-
-    All M relays draw their N coefficients entry-wise (a relay that heard
-    nothing still sends an all-zero row), then each row independently
-    survives the relay-to-destination link with probability 1 - eps_rd.
-    The returned matrix keeps only surviving rows and may have zero rows.
-    """
-    f = make_field(params.q)
-    m, n = params.n_relays, params.n_sources
-    coeffs = _coefficients_from_uniform(rng.random(m * n), params.eps_sr, params.q)
-    keep = rng.random(m) < (1.0 - params.eps_rd)
-    return CodingMatrix(f, coeffs.reshape(m, n)[keep])
 
 
 def _trial_stride(params: NetworkParams) -> int:
@@ -122,19 +102,15 @@ def _philox_at(seed: int, block: int) -> np.random.Philox:
     return bg
 
 
-def trial_rng(params: NetworkParams, seed: int, trial: int) -> np.random.Generator:
-    """Generator positioned at trial ``trial``'s substream for ``seed``."""
-    return np.random.Generator(_philox_at(seed, trial * _trial_stride(params)))
-
-
 def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
                    batch_size: int = 4096) -> SimEstimate:
     """Estimate the failure probability from ``trials`` independent draws.
 
     Deterministic for fixed (params, trials, seed) regardless of
     ``batch_size``: each trial consumes exactly the uniforms of its own
-    substream, identically to feeding :func:`trial_rng` streams one at a
-    time into :func:`sample_received_matrix`.
+    substream.  All M relays draw their N coefficients (a relay that heard
+    nothing still sends an all-zero row), then each row survives the
+    relay-to-destination link with probability 1 - eps_rd.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's computation paths:
 ranks come from nullspace enumeration or a scalar elimination on Python
-ints, probabilities from exact rational arithmetic, and the tiny-instance
-failure probability from enumerating the full joint (matrix,
+ints, probabilities from exact rational arithmetic or second forms of the
+closed-form bounds, simulated draws from one trial at a time, and the
+tiny-instance failure probability from enumerating the full joint (matrix,
 erasure-pattern) space.
 """
 
@@ -14,6 +15,7 @@ from math import comb
 
 import numpy as np
 
+from rlnc_bounds.bounds import NetworkParams, expected_null_vectors
 from rlnc_bounds.fields import FieldSpec, array_add, array_mul
 
 
@@ -90,23 +92,34 @@ def check_field_axioms(field: FieldSpec) -> None:
         "multiplication distributes over addition"
 
 
+def _binom_logpmf(ks: np.ndarray, n: int, p: float) -> np.ndarray:
+    """log P(X = k) for X ~ Binomial(n, p), 0 < p < 1, with ``math.lgamma``
+    for the binomial coefficient."""
+    lgamma = np.frompyfunc(math.lgamma, 1, 1)
+    return (math.lgamma(n + 1) - lgamma(ks + 1).astype(float)
+            - lgamma(n - ks + 1).astype(float)
+            + ks * math.log(p) + (n - ks) * math.log1p(-p))
+
+
 def _binom_mass(lo: int, hi: int, n: int, p: float) -> float:
     """P(lo <= X <= hi) for X ~ Binomial(n, p), 0 <= lo <= hi <= n.
 
-    Each pmf term is formed as a log (``math.lgamma`` for the binomial
-    coefficient) and the terms are summed relative to the largest one, so
-    huge coefficients and vanishing powers combine without overflow or
+    The pmf terms are summed relative to the largest one, so huge
+    coefficients and vanishing powers combine without overflow or
     underflow at n = 10^5.  No scipy: it is not a declared dependency.
     """
     if p in (0.0, 1.0):
         return float(lo <= n * p <= hi)  # all mass sits at 0 or n
-    lgamma = np.frompyfunc(math.lgamma, 1, 1)
-    ks = np.arange(lo, hi + 1)
-    logs = (math.lgamma(n + 1) - lgamma(ks + 1).astype(float)
-            - lgamma(n - ks + 1).astype(float)
-            + ks * math.log(p) + (n - ks) * math.log1p(-p))
+    logs = _binom_logpmf(np.arange(lo, hi + 1), n, p)
     top = logs.max()
     return min(1.0, math.exp(top) * float(np.exp(logs - top).sum()))
+
+
+def binom_pmf(n: int, p: float) -> list[float]:
+    """P(X = k) for k = 0..n, X ~ Binomial(n, p)."""
+    if p in (0.0, 1.0):
+        return [float(k == n * p) for k in range(n + 1)]
+    return np.exp(_binom_logpmf(np.arange(n + 1), n, p)).tolist()
 
 
 def binom_le(k: int, n: int, p: float) -> float:
@@ -117,6 +130,60 @@ def binom_le(k: int, n: int, p: float) -> float:
 def binom_ge(k: int, n: int, p: float) -> float:
     """Exact upper tail P(X >= k) of Binomial(n, p)."""
     return _binom_mass(k, n, n, p)
+
+
+# Second forms of the classic bounds, which the library evaluates in
+# closed form only.
+
+def ub_old_binomial_form(params: NetworkParams) -> float:
+    """The classic upper bound regrouped by delivered-row count: the
+    expected null-vector count mixed under Binomial(M, 1 - eps_rd).  It
+    equals ``ub_old`` by the binomial theorem."""
+    pmf = binom_pmf(params.n_relays, 1.0 - params.eps_rd)
+    return sum(w * expected_null_vectors(params, r) for r, w in enumerate(pmf) if w > 0.0)
+
+
+def lb_old_binomial_form(params: NetworkParams) -> float:
+    """The classic lower bound as P(X >= 1) for X ~ Binomial(N, e^M): the
+    chance that some source's column dies end to end, with
+    e = eps_sr + eps_rd - eps_sr*eps_rd."""
+    eff = params.eps_sr + params.eps_rd - params.eps_sr * params.eps_rd
+    return sum(binom_pmf(params.n_sources, eff**params.n_relays)[1:])
+
+
+# Per-trial reference for the simulator's draw contract: trial t of seed s
+# reads its uniforms from a Philox stream keyed by [s, 0] as uint64,
+# starting at counter block t*S with S = ceil((M*N + M) / 4), since each
+# block yields four doubles.  It draws M*N coefficient uniforms (row-major),
+# then M delivery uniforms.
+
+def trial_rng(params: NetworkParams, seed: int, trial: int) -> np.random.Generator:
+    """Generator positioned at trial ``trial``'s substream for ``seed``."""
+    stride = (params.n_relays * params.n_sources + params.n_relays + 3) // 4
+    key = np.array([seed, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=trial * stride, key=key))
+
+
+def _coefficient_from_uniform(u: float, eps_sr: float, q: int) -> int:
+    """Zero below eps_sr, otherwise uniform over the q - 1 nonzero
+    elements; the operation order is the library's, bit for bit."""
+    if u < eps_sr or eps_sr >= 1.0:
+        return 0
+    return min(q - 1, 1 + int((u - eps_sr) * ((q - 1) / (1.0 - eps_sr))))
+
+
+def sample_received_matrix(params: NetworkParams, rng: np.random.Generator) -> np.ndarray:
+    """Draw one trial's delivered rows, as a (rows, N) array.
+
+    All M relays draw their N coefficients (a relay that heard nothing
+    still sends an all-zero row), then each row survives the
+    relay-to-destination link with probability 1 - eps_rd.
+    """
+    m, n = params.n_relays, params.n_sources
+    u = rng.random(m * n + m).tolist()
+    coeffs = [_coefficient_from_uniform(x, params.eps_sr, params.q) for x in u[:m * n]]
+    kept = [coeffs[i * n:(i + 1) * n] for i in range(m) if u[m * n + i] < 1.0 - params.eps_rd]
+    return np.array(kept, dtype=np.int64).reshape(len(kept), n)
 
 
 # Rational-arithmetic versions of the analytical quantities.

@@ -43,13 +43,13 @@ import numpy as np
 import pytest
 
 from rlnc_bounds.bounds import (NetworkParams, column_dependence_bound, evaluate_all,
-                                expected_null_vectors, lb_new, ub_new, ub_old,
-                                ub_old_binomial_form)
+                                expected_null_vectors, lb_new, ub_new, ub_old)
 from rlnc_bounds.cli import _EPS_SR_GRID, _PRESETS, main
 from rlnc_bounds.fields import make_field
-from rlnc_bounds.linalg import CodingMatrix, rank
+from rlnc_bounds.linalg import rank_batch
 from rlnc_bounds.simulate import estimate_pfail, exact_pfail
-from support import binom_ge, binom_le, check_field_axioms, nullspace_rank, ub_old_frac
+from support import (binom_ge, binom_le, check_field_axioms, nullspace_rank,
+                     ub_old_binomial_form, ub_old_frac)
 from test_fields import ALL_PRIME_POWERS_256
 
 SEED = 42
@@ -316,7 +316,7 @@ def test_criterion_8_field_and_rank_suites():
         f = make_field(q)
         ents = rng.integers(0, q, size=(rows, cols))
         total += 1
-        got = rank(CodingMatrix(f, ents))
+        got = int(rank_batch(f, ents[None])[0])
         want = nullspace_rank(f, [list(map(int, r)) for r in ents], cols)
         if got != want:
             failures.append((q, ents.tolist(), got, want))

@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from rlnc_bounds.bounds import (NetworkParams, _row_zero_sum_raw,
-                                column_dependence_bound, dependence_prob,
-                                evaluate_all, expected_null_vectors, lb_new,
-                                lb_old, row_zero_sum_prob, ub_new, ub_old,
-                                ub_old_binomial_form, ub_old_clamped,
+                                column_dependence_bound, evaluate_all,
+                                expected_null_vectors, lb_new, lb_old,
+                                row_zero_sum_prob, ub_new, ub_old,
                                 zero_column_prob)
-from support import mu0_frac, ub_old_frac
+from support import lb_old_binomial_form, mu0_frac, ub_old_binomial_form, ub_old_frac
 
 EPS_GRID = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
 
@@ -78,13 +77,6 @@ def test_weight_bounds_are_enforced():
         row_zero_sum_prob(P(3, 3, 2, 0.1, 0.0), 4)
 
 
-def test_dependence_prob():
-    p = P(4, 10, 2, 0.5, 0.0)
-    assert dependence_prob(p, 2, 0) == 1.0
-    assert dependence_prob(p, 4, 10) == pytest.approx(0.5**10, rel=1e-15)
-    assert dependence_prob(p, 4, 10) == pytest.approx(9.765625e-4, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # expected null-vector count
 
@@ -130,10 +122,9 @@ def test_ub_old_reduces_to_null_count_without_relay_erasures():
 
 
 def test_ub_old_saturates_under_total_erasure():
-    assert ub_old(P(3, 4, 2, 1.0, 0.2)) >= 1.0
-    assert ub_old_clamped(P(3, 4, 2, 1.0, 0.2)) == 1.0
-    assert ub_old(P(3, 4, 2, 0.2, 1.0)) >= 1.0
-    assert ub_old_clamped(P(3, 4, 2, 0.2, 1.0)) == 1.0
+    for p in (P(3, 4, 2, 1.0, 0.2), P(3, 4, 2, 0.2, 1.0)):
+        assert ub_old(p) >= 1.0
+        assert evaluate_all(p).ub_old_clamped == 1.0
 
 
 def test_ub_old_at_the_large_network_point():
@@ -164,6 +155,17 @@ def test_binomial_form_edge_cases():
     p1 = P(3, 5, 4, 0.3, 1.0)
     # total relay erasure leaves the projective count (q^N - 1)/(q - 1)
     assert ub_old_binomial_form(p1) == pytest.approx((4**3 - 1) / 3, rel=1e-12)
+
+
+def test_lb_old_closed_form_equals_the_binomial_sum():
+    # the identity grid of criterion 3; it holds a = e^M = 0 (no erasures)
+    # and a = 1 (an erasure rate of 1)
+    for n in range(1, 16):
+        for m in range(n, n + 11):
+            for esr in EPS_GRID:
+                for erd in EPS_GRID:
+                    p = P(n, m, 2, esr, erd)
+                    assert abs(lb_old(p) - lb_old_binomial_form(p)) <= 1e-12, p
 
 
 def test_lb_old_single_source():
@@ -254,15 +256,15 @@ def test_sharpened_bounds_bracket_the_classic_ones():
 
 
 def test_lb_new_dominates_the_zero_column_mixture():
-    from rlnc_bounds.bounds import _delivery_pmf
     for n in (2, 4, 8):
         for q in (2, 4):
             for esr in EPS_GRID:
                 for erd in (0.0, 0.1, 0.5, 1.0):
                     p = P(n, n + 4, q, esr, erd)
-                    pmf = _delivery_pmf(p.n_relays, erd)
+                    bs = evaluate_all(p)
+                    pmf = bs.tables.delivery_pmf
                     mixture = sum(w * zero_column_prob(p, r) for r, w in enumerate(pmf))
-                    assert lb_new(p) >= mixture - 1e-12
+                    assert bs.lb_new >= mixture - 1e-12
 
 
 def test_bounds_nonincreasing_in_relay_count():
@@ -289,12 +291,11 @@ def test_evaluate_all_is_consistent_with_parts():
     assert bs.ub_new == pytest.approx(ub_new(p), rel=1e-12)
     assert bs.ub_old_raw == pytest.approx(ub_old(p), rel=1e-12)
     assert bs.ub_old_clamped == min(1.0, bs.ub_old_raw)
-    assert bs.tables is None
 
 
-def test_evaluate_all_keeps_per_delivery_tables_on_request():
+def test_evaluate_all_fills_the_per_delivery_tables():
     p = P(3, 5, 2, 0.4, 0.3)
-    bs = evaluate_all(p, keep_tables=True)
+    bs = evaluate_all(p)
     t = bs.tables
     assert len(t.delivery_pmf) == 6
     assert sum(t.delivery_pmf) == pytest.approx(1.0, rel=1e-12)
@@ -313,7 +314,7 @@ def test_per_delivery_tables_equal_the_per_count_functions(q):
         for esr in (0.0, 0.3, 1.0 / q, 0.8, 1.0):
             for erd in (0.0, 0.2, 1.0):
                 p = P(n, m, q, esr, erd)
-                bs = evaluate_all(p, keep_tables=True)
+                bs = evaluate_all(p)
                 t = bs.tables
                 for r in range(m + 1):
                     assert t.expected_null_vectors[r] == expected_null_vectors(p, r)
@@ -321,4 +322,3 @@ def test_per_delivery_tables_equal_the_per_count_functions(q):
                     assert t.dependence_lb[r] == column_dependence_bound(p, r, "min")
                     assert t.zero_column_prob[r] == zero_column_prob(p, r)
                 assert bs.mu0 == expected_null_vectors(p, m)
-                assert bs.ub_new == ub_new(p) and bs.lb_new == lb_new(p)

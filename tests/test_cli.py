@@ -1,14 +1,18 @@
 import csv
+import inspect
 import io
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from rlnc_bounds import cli, fields, simulate
 from rlnc_bounds.cli import COLUMNS, main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import worker  # noqa: E402  (the names the benchmark reads from the package)
 import workloads  # noqa: E402  (the benchmark's workloads and reference bytes)
 
 
@@ -223,6 +227,23 @@ def test_rejected_run_leaves_the_output_file_untouched(tmp_path, want_code, argv
     assert target.read_bytes() == b"earlier results\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--sources", "2", "--relays", "3", "--field", "2",
+     "--eps-sr", "0.1", "--eps-rd", "0.1"],
+    ["sweep", "--preset", "fig2", "--trials", "20000"],
+])
+def test_unwritable_output_is_rejected_before_any_point(tmp_path, monkeypatch, argv):
+    def no_points(p):
+        raise AssertionError(f"computed {p} before checking --output")
+
+    monkeypatch.setattr(cli, "evaluate_all", no_points)
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(*argv, "--output", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # byte identity with the benchmark's recorded reference
 
@@ -244,3 +265,15 @@ def test_output_bytes_match_the_benchmark_reference(part):
         if digests is not None:
             rows = out.splitlines()[1:]
             assert [workloads.row_digest(row) for row in rows] == digests[i], argv
+
+
+def test_the_names_the_benchmark_reads_exist():
+    # benchmarks/worker.py wraps these calls and sizes these field tables;
+    # dropping one should fail here, not only in the benchmark
+    modules = {"cli": cli, "fields": fields, "simulate": simulate}
+    for mod, attr, _ in worker.WRAPPED:
+        assert callable(getattr(modules[mod], attr, None)), (mod, attr)
+    read = set(re.findall(r"\bfields\.(\w+)", inspect.getsource(worker.build_fields)))
+    assert {"_inv_table", "_dense_tables", "_DENSE_LIMIT"} <= read
+    for name in read:
+        assert hasattr(fields, name), name

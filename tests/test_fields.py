@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rlnc_bounds.fields import (FieldSpec, array_add, array_inv, array_mul,
+from rlnc_bounds.fields import (FieldSpec, _inv_table, array_add, array_mul,
                                 array_sub, make_field)
 from support import check_field_axioms
 
@@ -143,7 +143,7 @@ def test_array_ops_match_scalar_ops():
         assert (np.asarray(array_mul(f, a, b)) ==
                 [f.mul(int(x), int(y)) for x, y in zip(a, b)]).all()
         nz = a[a != 0]
-        assert (np.asarray(array_inv(f, nz)) == [f.inv(int(x)) for x in nz]).all()
+        assert (_inv_table(f)[nz] == [f.inv(int(x)) for x in nz]).all()
 
 
 def test_all_prime_powers_up_to_256_enumerated():

@@ -8,12 +8,11 @@ import pytest
 
 from rlnc_bounds.bounds import NetworkParams, lb_new, lb_old, ub_new, ub_old
 from rlnc_bounds.fields import entry_dtype, make_field
-from rlnc_bounds.linalg import is_decodable
 from rlnc_bounds import simulate
-from rlnc_bounds.simulate import (StateSpaceExceeded, estimate_pfail,
-                                  exact_pfail, sample_coefficient,
-                                  sample_received_matrix, trial_rng)
-from support import exact_pfail_full_joint, scalar_rank
+from rlnc_bounds.simulate import StateSpaceExceeded, estimate_pfail, exact_pfail
+import support
+from support import (exact_pfail_full_joint, sample_received_matrix, scalar_rank,
+                     trial_rng)
 
 
 def P(n, m, q, esr, erd):
@@ -25,24 +24,20 @@ def P(n, m, q, esr, erd):
 
 
 def test_total_erasure_always_samples_zero():
-    f = make_field(4)
-    rng = np.random.default_rng(0)
-    assert all(sample_coefficient(f, 1.0, rng) == 0 for _ in range(50))
+    u = np.random.default_rng(0).random(50)
+    assert (simulate._coefficients_from_uniform(u, 1.0, 4) == 0).all()
 
 
 def test_binary_no_erasure_always_samples_one():
-    f = make_field(2)
-    rng = np.random.default_rng(0)
-    assert all(sample_coefficient(f, 0.0, rng) == 1 for _ in range(50))
+    u = np.random.default_rng(0).random(50)
+    assert (simulate._coefficients_from_uniform(u, 0.0, 2) == 1).all()
 
 
 def test_coefficient_frequencies_match_the_model():
     # 10^6 draws at eps_sr=0.5 over F_4: zero half the time, each nonzero 1/6
-    f = make_field(4)
-    rng = np.random.default_rng(123)
     n = 1_000_000
-    counts = np.bincount([sample_coefficient(f, 0.5, rng) for _ in range(n)],
-                         minlength=4)
+    u = np.random.default_rng(123).random(n)
+    counts = np.bincount(simulate._coefficients_from_uniform(u, 0.5, 4), minlength=4)
     for value, want in enumerate([0.5, 1 / 6, 1 / 6, 1 / 6]):
         tol = 4.0 * math.sqrt(want * (1 - want) / n)
         assert abs(counts[value] / n - want) < tol, (value, counts[value] / n)
@@ -59,7 +54,7 @@ def test_coefficient_mapping_matches_its_scalar_twin(q):
             warnings.simplefilter("error")
             got = simulate._coefficients_from_uniform(u, eps, q)
         assert got.dtype == entry_dtype(q)
-        want = [simulate._coefficient_from_uniform(x, eps, q) for x in u.tolist()]
+        want = [support._coefficient_from_uniform(x, eps, q) for x in u.tolist()]
         assert got.tolist() == want, eps
 
 
@@ -69,20 +64,20 @@ def test_coefficient_mapping_matches_its_scalar_twin(q):
 
 def test_full_relay_erasure_gives_empty_matrix():
     a = sample_received_matrix(P(3, 4, 2, 0.2, 1.0), np.random.default_rng(1))
-    assert a.rows == 0 and a.cols == 3
+    assert a.shape == (0, 3)
 
 
 def test_binary_perfect_channels_give_all_ones():
     a = sample_received_matrix(P(3, 4, 2, 0.0, 0.0), np.random.default_rng(1))
-    assert a.rows == 4
-    assert (a.entries == 1).all()
+    assert a.shape == (4, 3)
+    assert (a == 1).all()
 
 
 def test_mean_delivered_rows():
     p = P(2, 8, 2, 0.5, 0.3)
     rng = np.random.default_rng(5)
     n = 100_000
-    total = sum(sample_received_matrix(p, rng).rows for _ in range(n))
+    total = sum(len(sample_received_matrix(p, rng)) for _ in range(n))
     want = 8 * 0.7
     tol = 4.0 * math.sqrt(8 * 0.3 * 0.7 / n)
     assert abs(total / n - want) < tol
@@ -214,7 +209,8 @@ def test_batched_estimator_equals_per_trial_sampling():
     # the fast path must replay exactly the per-trial substream draws
     p = P(2, 4, 3, 0.3, 0.25)
     trials, seed = 1500, 17
-    failures = sum(not is_decodable(sample_received_matrix(p, trial_rng(p, seed, t)))
+    f = make_field(p.q)
+    failures = sum(scalar_rank(f, sample_received_matrix(p, trial_rng(p, seed, t)), 2) < 2
                    for t in range(trials))
     assert estimate_pfail(p, trials, seed).failures == failures
 
@@ -231,19 +227,15 @@ def test_batch_size_must_be_positive():
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_seeds_are_rejected(seed):
-    p = P(3, 5, 2, 0.3, 0.1)
     with pytest.raises(ValueError, match="seed"):
-        estimate_pfail(p, 100, seed=seed)
-    with pytest.raises(ValueError, match="seed"):
-        trial_rng(p, seed, 0)
+        estimate_pfail(P(3, 5, 2, 0.3, 0.1), 100, seed=seed)
 
 
 def test_seeds_above_2_63_keep_their_own_stream():
     # a list key would round these through float64: 2^63 + 1 onto 2^63,
     # and 2^64 - 1 onto 0 with a cast warning
-    p = P(3, 5, 2, 0.3, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        draws = {s: trial_rng(p, s, 0).random(4).tolist()
+        draws = {s: np.random.Generator(simulate._philox_at(s, 0)).random(4).tolist()
                  for s in (0, 2**63, 2**63 + 1, 2**64 - 1)}
     assert len({tuple(d) for d in draws.values()}) == 4
