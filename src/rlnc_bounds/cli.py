@@ -11,7 +11,6 @@ import csv
 import io
 import os
 import sys
-from dataclasses import asdict
 
 from .bounds import NetworkParams, evaluate_all
 from .fields import MAX_ORDER
@@ -57,9 +56,13 @@ def _checked_params(**kw) -> NetworkParams:
     return p
 
 
+def _param_kw(args) -> dict:
+    return dict(n_sources=args.sources, n_relays=args.relays, q=args.field,
+                eps_sr=args.eps_sr, eps_rd=args.eps_rd)
+
+
 def _base_params(args) -> NetworkParams:
-    return _checked_params(n_sources=args.sources, n_relays=args.relays, q=args.field,
-                           eps_sr=args.eps_sr, eps_rd=args.eps_rd)
+    return _checked_params(**_param_kw(args))
 
 
 def _check_output(path: str) -> None:
@@ -168,7 +171,9 @@ def _sweep_points(args) -> list[NetworkParams]:
             values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise DomainError(f"bad --values list: {args.values}") from exc
-    base = asdict(_base_params(args))
+    # each point replaces the swept axis's base value, so only the points
+    # are validated
+    base = _param_kw(args)
     return [_checked_params(**{**base, axis_field: v}) for v in values]
 
 

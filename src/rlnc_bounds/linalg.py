@@ -8,12 +8,21 @@ every matrix in the stack gets the same update of its columns c+1 onward,
 and its rank is the number of columns that had a pivot.  A matrix leaves
 the working stack once its rank is settled.
 
+The working stack is held as (cols, rows, batch): the columns still to
+eliminate are one contiguous block, and every elementwise loop runs along
+the batch rather than along the 10-35 rows of a matrix.
+
 The update's field arithmetic: for prime q, ``a + f*(q - p)`` reduced mod q
-in an unsigned dtype that holds q^2 - 1; for extensions of F_2, one lookup
-of summed logs in a zero-padded exp table, then XOR; for other extensions,
-the field's array operations.  Over F_2 with at most 64 columns, rows are
-packed into uint64 bit masks and take the same update as one XOR.  Inputs
-are never mutated.
+in an unsigned dtype that holds q^2 - 1.  For extensions of F_2 the entry
+dtype selects the product.  With byte entries (q <= 256) it is taken by bit
+planes: for each basis bit b, the rows whose entry a has bit b set take
+``x^b * (pivot_row / p)``, a product of logs on the small pivot slab, by a
+uint8 AND with an all-ones mask and an XOR, so the whole stack sees no
+per-entry table lookup.  With uint16 entries the product is one lookup of
+summed logs in a zero-padded exp table, then XOR; there bit planes measured
+1.7-2.8x slower (q = 512 to 65536).  Other extensions use the field's array
+operations.  Over F_2 with at most 64 columns, rows are packed into uint64
+bit masks and take the same update as one XOR.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -41,58 +50,74 @@ def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
     if field.q == 2 and ncols <= 64:
         return _rank_batch_bits(mats, target)
     q = field.q
+    dt = entry_dtype(q)
     if field.m == 1:
         # a + f*(q - p) <= q*q - 1 before the reduction
         dt = next(t for t in (np.uint8, np.uint16, np.uint32) if q * q - 1 <= np.iinfo(t).max)
         inv = _inv_table(field).astype(dt)
     elif field.p == 2:
-        dt = entry_dtype(q)
         log, exp = _log_exp_tables(field)
+        # log(x^b): x^b is the element whose integer form has only bit b set
+        xlog = log.take(1 << np.arange(field.m))
     else:
-        dt = entry_dtype(q)
         inv = _inv_table(field)
-    # column-major stack (cols, batch, rows): the columns still to eliminate
-    # are one contiguous block
-    work = np.ascontiguousarray(mats.transpose(2, 0, 1), dtype=dt)
+    # stack (cols, rows, batch): the columns still to eliminate are one
+    # contiguous block, and every elementwise loop runs along the batch
+    work = np.ascontiguousarray(mats.transpose(2, 1, 0), dtype=dt)
     # scratch for the row update, allocated once: fresh pages every column
     # would cost as much as the arithmetic
     tmp = np.empty(work[1:].size, dtype=dt)
-    if field.m > 1 and field.p == 2:
+    gather = field.m > 1 and field.p == 2 and dt != np.uint8
+    if gather:
         idx = np.empty(tmp.size, dtype=np.intp)
     state = _Survivors(nb, nrows, ncols, target)
     for col in range(ncols):
         a, rest = work[0], work[1:]
         nz = a != 0
-        piv = nz.argmax(axis=1)
-        k = np.arange(len(piv))
+        # flat index of each matrix's pivot entry in the (rows, batch) slab;
+        # taking along the flattened slabs keeps the pivot rows batch-innermost
+        at = nz.argmax(axis=0) * a.shape[1] + np.arange(a.shape[1])
         # (a_i / p) * pivot row comes off every row, the pivot row included,
         # which zeroes it; matrices without a pivot get the zero update
-        pivrow = rest[:, k, piv][:, :, None]
-        pivot = a[k, piv][:, None]
+        pivot = a.take(at)
+        pivrow = rest.reshape(len(rest), a.size).take(at, axis=1)
         t = tmp[:rest.size].reshape(rest.shape)
         if field.m == 1:
-            f = a * inv[pivot]
-            f %= q
-            np.multiply(f, q - pivrow, out=t)
+            # reductions mod q go through a floor division by the scalar q,
+            # which numpy vectorises, unlike the remainder
+            f = a * inv.take(pivot)
+            f -= f // q * q
+            np.multiply(f, q - pivrow[:, None], out=t)
             rest += t
-            # a floor division by a scalar is vectorised, unlike the remainder
             np.floor_divide(rest, q, out=t)
             t *= q
             rest -= t
         elif field.p == 2:
-            lf = log[a] + (q - 1 - log[pivot]) % (q - 1)
-            i = idx[:rest.size].reshape(rest.shape)
-            np.add(lf, log[pivrow], out=i)
-            exp.take(i, out=t, mode="clip")
-            rest ^= t
+            # log of the pivot row divided by the pivot
+            lp = log.take(pivrow)
+            lp += (q - 1 - log.take(pivot)) % (q - 1)
+            if gather:
+                i = idx[:rest.size].reshape(rest.shape)
+                np.add(log.take(a), lp[:, None], out=i)
+                exp.take(i, out=t, mode="clip")
+                rest ^= t
+            else:
+                # bit planes: a = sum of a_b x^b, so a * (pivot row / p) is
+                # the XOR over the set bits b of x^b * (pivot row / p), a
+                # product taken on the small pivot slab; uint8 minus wraps
+                # 1 to 0xFF
+                for b in range(field.m):
+                    np.bitwise_and(-((a >> b) & 1), exp.take(lp + xlog[b])[:, None], out=t)
+                    rest ^= t
         else:
-            f = array_mul(field, a, inv[pivot])
-            rest[...] = array_sub(field, rest, array_mul(field, f, pivrow))
-        keep = state.advance(col, nz.any(axis=1))
+            f = array_mul(field, a, inv.take(pivot))
+            rest[...] = array_sub(field, rest, array_mul(field, f, pivrow[:, None]))
+        keep = state.advance(col, nz.take(at))
         if keep is None:
             work = rest
         elif keep.size:
-            work = rest[:, keep]
+            # take, not rest[:, :, keep], whose result has the batch outermost
+            work = rest.take(keep, axis=2)
         else:
             break
     return state.ranks
@@ -138,11 +163,13 @@ def _rank_batch_bits(mats: np.ndarray, target: int | None) -> np.ndarray:
     state = _Survivors(nb, nrows, ncols, target)
     for col in range(ncols):
         nz = (bits & np.uint64(1 << col)) != 0
-        pivrow = bits[np.arange(len(bits)), nz.argmax(axis=1)]
+        k = np.arange(len(bits))
+        piv = nz.argmax(axis=1)
+        pivrow = bits[k, piv]
         t = tmp[:bits.size].reshape(bits.shape)
         np.multiply(nz, pivrow[:, None], out=t)
         bits ^= t
-        keep = state.advance(col, nz.any(axis=1))
+        keep = state.advance(col, nz[k, piv])
         if keep is not None:
             if not keep.size:
                 break

@@ -135,12 +135,17 @@ def binom_ge(k: int, n: int, p: float) -> float:
 # Second forms of the classic bounds, which the library evaluates in
 # closed form only.
 
-def ub_old_binomial_form(params: NetworkParams) -> float:
+def ub_old_binomial_form(params: NetworkParams, nulls=None) -> float:
     """The classic upper bound regrouped by delivered-row count: the
     expected null-vector count mixed under Binomial(M, 1 - eps_rd).  It
-    equals ``ub_old`` by the binomial theorem."""
+    equals ``ub_old`` by the binomial theorem.
+
+    ``nulls[r]`` is the expected null-vector count at r delivered rows, for
+    example ``evaluate_all(params).tables.expected_null_vectors``; without
+    it, ``expected_null_vectors`` is called once per count."""
     pmf = binom_pmf(params.n_relays, 1.0 - params.eps_rd)
-    return sum(w * expected_null_vectors(params, r) for r, w in enumerate(pmf) if w > 0.0)
+    null = (lambda r: expected_null_vectors(params, r)) if nulls is None else nulls.__getitem__
+    return sum(w * null(r) for r, w in enumerate(pmf) if w > 0.0)
 
 
 def lb_old_binomial_form(params: NetworkParams) -> float:

@@ -83,7 +83,9 @@ def identity_grid():
                 for esr in EPS_GRID:
                     for erd in EPS_GRID:
                         p = NetworkParams(n, m, q, esr, erd)
-                        rows.append((p, ub_old(p), ub_old_binomial_form(p), ub_new(p)))
+                        bs = evaluate_all(p)
+                        regrouped = ub_old_binomial_form(p, bs.tables.expected_null_vectors)
+                        rows.append((p, ub_old(p), regrouped, bs.ub_new))
     return rows
 
 

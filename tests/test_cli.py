@@ -3,6 +3,7 @@ import inspect
 import io
 import re
 import sys
+import unittest
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from rlnc_bounds import cli, fields, simulate
 from rlnc_bounds.cli import COLUMNS, main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import selftest  # noqa: E402  (the benchmark's own self-tests)
 import worker  # noqa: E402  (the names the benchmark reads from the package)
 import workloads  # noqa: E402  (the benchmark's workloads and reference bytes)
 
@@ -159,6 +161,20 @@ def test_sweep_argument_validation():
     assert code == 2
 
 
+@pytest.mark.parametrize("axis, base, good, bad", [
+    ("relays", ("--relays", "0", "--field", "2"), "5,6", "0,5"),
+    ("q", ("--relays", "3", "--field", "131072"), "2,4", "2,131072"),
+])
+def test_sweep_validates_the_points_not_the_base_value_they_replace(axis, base, good, bad):
+    argv = ("sweep", "--axis", axis, "--sources", "2", *base, "--eps-sr", "0.1",
+            "--eps-rd", "0.1", "--no-sim")
+    code, out, _ = run_cli(*argv, "--values", good)
+    assert code == 0 and len(parse(out)[1]) == 2
+    code, out, err = run_cli(*argv, "--values", bad)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # exact command
 
@@ -277,3 +293,12 @@ def test_the_names_the_benchmark_reads_exist():
     assert {"_inv_table", "_dense_tables", "_DENSE_LIMIT"} <= read
     for name in read:
         assert hasattr(fields, name), name
+
+
+def test_the_benchmark_selftest_passes():
+    # traced and untraced passes write the same bytes, corrupted bounds and
+    # counts are caught, and the metric names are valid
+    suite = unittest.defaultTestLoader.loadTestsFromModule(selftest)
+    result = unittest.TextTestRunner(stream=io.StringIO()).run(suite)
+    assert result.testsRun > 0
+    assert result.wasSuccessful(), result.failures + result.errors

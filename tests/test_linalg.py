@@ -100,7 +100,8 @@ def test_rank_invariant_under_row_operations():
 # batched kernel
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 64, 243, 257, 3125, 4096, 65521])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 32, 64, 128, 243, 256, 257, 3125,
+                               4096, 65521])
 def test_rank_batch_matches_scalar(q):
     rng = np.random.default_rng(q)
     f = make_field(q)
@@ -110,7 +111,7 @@ def test_rank_batch_matches_scalar(q):
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 64, 257, 65536])
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 64, 256, 257, 65536])
 def test_rank_batch_target_decision_agrees(q):
     rng = np.random.default_rng(q + 1)
     f = make_field(q)
@@ -121,7 +122,7 @@ def test_rank_batch_target_decision_agrees(q):
     assert (early[early >= 4] == full[early >= 4]).all()
 
 
-@pytest.mark.parametrize("q", [2, 3, 64, 65536])
+@pytest.mark.parametrize("q", [2, 3, 4, 64, 256, 65536])
 def test_rank_batch_figure_sized_stacks(q):
     # sparse entries and erased rows, as the simulator draws them, so that
     # matrices leave the working stack part-way through
