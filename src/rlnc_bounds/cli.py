@@ -47,13 +47,13 @@ class DomainError(ValueError):
 
 
 def _checked_params(**kw) -> NetworkParams:
+    # first: NetworkParams factors q by trial division, seconds for a big prime
+    if kw["q"] > MAX_ORDER:
+        raise DomainError(f"field order must be at most {MAX_ORDER}, got {kw['q']}")
     try:
-        p = NetworkParams(**kw)
+        return NetworkParams(**kw)
     except ValueError as e:
         raise DomainError(str(e)) from e
-    if p.q > MAX_ORDER:
-        raise DomainError(f"field order must be at most {MAX_ORDER}, got {p.q}")
-    return p
 
 
 def _param_kw(args) -> dict:

@@ -21,8 +21,7 @@ import numpy as np
 
 MAX_ORDER = 1 << 16
 
-# Dense lookup tables are worth their memory only for small orders; above
-# this, multiplication falls back to modular / discrete-log arithmetic.
+# Largest order for which the benchmark builds ``_dense_tables``.
 _DENSE_LIMIT = 256
 
 
@@ -257,9 +256,16 @@ def make_field(q: int) -> FieldSpec:
     return FieldSpec(q, p, m, poly, exp, log)
 
 
-# Vectorised element-wise operations on integer ndarrays.  Used by the
-# batched rank kernel and by exhaustive axiom checks; all return arrays
-# with values in [0, q).
+def entry_dtype(q: int):
+    """Smallest unsigned dtype that holds values in [0, q)."""
+    return np.uint8 if q <= 256 else np.uint16
+
+
+# Dense q x q addition, subtraction and multiplication tables for q <= 256.
+# No library code computes with them.  They stay because
+# benchmarks/worker.py sizes them (with _DENSE_LIMIT) for its table_mb
+# metric, and the tests check them against the scalar operations; they can
+# move to tests/ once the benchmark stops reading them.
 
 @lru_cache(maxsize=None)
 def _dense_tables(f: FieldSpec):
@@ -283,57 +289,7 @@ def _dense_tables(f: FieldSpec):
         sub_t = add_t[:, neg]
         la, lb = f.log_table[a], f.log_table[b]
         mul_t = np.where((a == 0) | (b == 0), 0, f.exp_table[la + lb]).astype(np.int64)
-    dt = np.uint8 if q <= 256 else np.uint16
-    return add_t.astype(dt), sub_t.astype(dt), mul_t.astype(dt)
-
-
-def entry_dtype(q: int):
-    """Smallest unsigned dtype that holds values in [0, q)."""
-    return np.uint8 if q <= 256 else np.uint16
-
-
-def array_add(f: FieldSpec, a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    if f.p == 2:
-        return a ^ b
-    if f.q <= _DENSE_LIMIT:
-        return _dense_tables(f)[0][a, b]
-    if f.m == 1:
-        return (a.astype(np.int64) + b) % f.q
-    out = 0
-    scale = 1
-    for _ in range(f.m):
-        out = out + ((a.astype(np.int64) // scale + b // scale) % f.p) * scale
-        scale *= f.p
-    return out
-
-
-def array_sub(f: FieldSpec, a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    if f.p == 2:
-        return a ^ b
-    if f.q <= _DENSE_LIMIT:
-        return _dense_tables(f)[1][a, b]
-    if f.m == 1:
-        return (a.astype(np.int64) - b) % f.q
-    out = 0
-    scale = 1
-    for _ in range(f.m):
-        out = out + ((a.astype(np.int64) // scale - b // scale) % f.p) * scale
-        scale *= f.p
-    return out
-
-
-def array_mul(f: FieldSpec, a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    if f.q <= _DENSE_LIMIT:
-        return _dense_tables(f)[2][a, b]
-    if f.m == 1:
-        return (a.astype(np.int64) * b) % f.q
-    la = f.log_table[a.astype(np.int64)]
-    lb = f.log_table[b.astype(np.int64)]
-    prod = f.exp_table[la + lb]
-    return np.where((a == 0) | (b == 0), 0, prod)
+    return tuple(t.astype(entry_dtype(q)) for t in (add_t, sub_t, mul_t))
 
 
 @lru_cache(maxsize=None)
@@ -375,3 +331,36 @@ def _log_exp_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     exp[:zero] = np.tile(f.exp_table[:order], 3)
     return log, exp
 
+
+@lru_cache(maxsize=None)
+def _zech_tables(f: FieldSpec):
+    """Tables for ``b + x*y`` over an odd-characteristic extension as
+    ``exp[lc + zech[logp[b] - lc]]``, with ``lc = log[x] + ly`` and ``ly`` the
+    log of y in ``[0, 2q - 3)``, or ``log[0] + k`` (k < q - 1) for y = 0.
+
+    zech[k] = log(1 + g^k) (Zech logarithms: K. Huber, IEEE Trans. Inf.
+    Theory 36(4), 1990), and 1 + g^k is g^k with digit 0 raised by one mod
+    p.  Zero operands are regions of the tables, not masks.  ``logp`` is the
+    log plus ``off``, the largest lc of a nonzero x*y; b = 0 lands where
+    ``zech`` is 0, giving g^lc.  The log of 0 is so low that x*y = 0 lands
+    where ``zech`` is the difference minus ``off``, giving b.  exp is zero
+    where 1 + g^k = 0 and b = x*y = 0 land.  The logs are int32.
+    """
+    n = f.q - 1
+    off = 3 * n - 3
+    # differences: b = 0 in [off + n, bzero], x*y = 0 from bzero + 1 on
+    bzero = 2 * off + n
+    lzero = -(off + 3 * n - 1)
+    log = f.log_table.astype(np.int32)
+    log[0] = lzero
+    logp = log + off
+    logp[0] = bzero
+    zech = np.arange(bzero - 2 * lzero + 1, dtype=np.int32) - off
+    zech[off + n:bzero + 1] = 0
+    d = np.arange(off + n)
+    e = f.exp_table[:n]
+    one_plus = e - e % f.p + (e % f.p + 1) % f.p
+    zech[d] = np.where(one_plus == 0, off + n, f.log_table[one_plus])[(d - off) % n]
+    exp = np.zeros(bzero + 1, dtype=entry_dtype(f.q))
+    exp[d] = f.exp_table[d % n]
+    return log, logp, zech, exp

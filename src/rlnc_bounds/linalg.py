@@ -13,24 +13,25 @@ eliminate are one contiguous block, and every elementwise loop runs along
 the batch rather than along the 10-35 rows of a matrix.
 
 The update's field arithmetic: for prime q, ``a + f*(q - p)`` reduced mod q
-in an unsigned dtype that holds q^2 - 1.  For extensions of F_2 the entry
-dtype selects the product.  With byte entries (q <= 256) it is taken by bit
-planes: for each basis bit b, the rows whose entry a has bit b set take
-``x^b * (pivot_row / p)``, a product of logs on the small pivot slab, by a
-uint8 AND with an all-ones mask and an XOR, so the whole stack sees no
-per-entry table lookup.  With uint16 entries the product is one lookup of
-summed logs in a zero-padded exp table, then XOR; there bit planes measured
-1.7-2.8x slower (q = 512 to 65536).  Other extensions use the field's array
-operations.  Over F_2 with at most 64 columns, rows are packed into uint64
-bit masks and take the same update as one XOR.  Inputs are never mutated.
+in an unsigned dtype that holds q^2 - 1.  Extensions of F_2 choose the
+product by entry dtype.  With bytes (q <= 256) it is taken in bit planes:
+for each basis bit b, the rows whose entry a has bit b set take
+``x^b * (pivot_row / p)``, computed on the small pivot slab, by a uint8 AND
+with an all-ones mask and an XOR, so the stack sees no per-entry lookup.
+With uint16 entries it is one lookup of summed logs in a zero-padded exp
+table, then XOR; bit planes measured 1.7-2.8x slower there.  Extensions of
+odd characteristic add by Zech logarithms: an entry b becomes
+``exp[lc + zech[logp[b] - lc]]``, lc the log of ``a * (-pivot_row / p)``,
+with zero operands as regions of the tables (``fields._zech_tables``).
+Over F_2 with at most 64 columns, rows are packed into uint64 bit masks and
+take the same update as one XOR.  Inputs are never mutated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import (FieldSpec, _inv_table, _log_exp_tables, array_mul, array_sub,
-                     entry_dtype)
+from .fields import FieldSpec, _inv_table, _log_exp_tables, _zech_tables, entry_dtype
 
 
 def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
@@ -60,7 +61,8 @@ def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
         # log(x^b): x^b is the element whose integer form has only bit b set
         xlog = log.take(1 << np.arange(field.m))
     else:
-        inv = _inv_table(field)
+        log, logp, zech, exp = _zech_tables(field)
+        scratch = np.empty((2, (ncols - 1) * nrows * nb), dtype=np.int32)
     # stack (cols, rows, batch): the columns still to eliminate are one
     # contiguous block, and every elementwise loop runs along the batch
     work = np.ascontiguousarray(mats.transpose(2, 1, 0), dtype=dt)
@@ -110,8 +112,17 @@ def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
                     np.bitwise_and(-((a >> b) & 1), exp.take(lp + xlog[b])[:, None], out=t)
                     rest ^= t
         else:
-            f = array_mul(field, a, inv.take(pivot))
-            rest[...] = array_sub(field, rest, array_mul(field, f, pivrow[:, None]))
+            # rest + a * (-pivot row / p) by Zech logarithms, -1 being g^((q-1)/2)
+            lp = log.take(pivrow)
+            lp += ((q - 1) // 2 - log.take(pivot)) % (q - 1)
+            lc, d = scratch[:, :rest.size].reshape(2, *rest.shape)
+            np.add(log.take(a), lp[:, None], out=lc)
+            logp.take(rest, out=d, mode="clip")
+            d -= lc
+            # take reads int32 indices from an intp copy, so d can be the output
+            zech.take(d, out=d, mode="clip")
+            lc += d
+            exp.take(lc, out=rest, mode="clip")
         keep = state.advance(col, nz.take(at))
         if keep is None:
             work = rest

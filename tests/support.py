@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from rlnc_bounds.bounds import NetworkParams, expected_null_vectors
-from rlnc_bounds.fields import FieldSpec, array_add, array_mul
+from rlnc_bounds.fields import FieldSpec, _dense_tables
 
 
 def nullspace_rank(field: FieldSpec, rows: list[list[int]], cols: int) -> int:
@@ -70,25 +70,21 @@ def _dot_is_zero(field: FieldSpec, row, x) -> bool:
 
 
 def check_field_axioms(field: FieldSpec) -> None:
-    """Exhaustive axiom check (pairs and triples) via the array ops."""
-    q = field.q
-    a = np.arange(q, dtype=np.uint8 if q <= 256 else np.int64)
-    add2 = array_add(field, a[:, None], a[None, :])
-    mul2 = array_mul(field, a[:, None], a[None, :])
-    assert (add2 == add2.T).all(), "addition must commute"
-    assert (mul2 == mul2.T).all(), "multiplication must commute"
-    assert (add2[:, 0] == a).all(), "0 must be the additive identity"
-    assert (mul2[:, 1] == a).all(), "1 must be the multiplicative identity"
-    assert (mul2[:, 0] == 0).all(), "multiplication by 0 must vanish"
-    assert ((add2 == 0).sum(axis=1) == 1).all(), "unique additive inverses"
-    assert ((mul2[1:] == 1).sum(axis=1) == 1).all(), "unique multiplicative inverses"
+    """Exhaustive axiom check (pairs and triples) of the dense q x q
+    tables, for q <= 256."""
+    add, _, mul = _dense_tables(field)
+    a = np.arange(field.q)
+    assert (add == add.T).all(), "addition must commute"
+    assert (mul == mul.T).all(), "multiplication must commute"
+    assert (add[:, 0] == a).all(), "0 must be the additive identity"
+    assert (mul[:, 1] == a).all(), "1 must be the multiplicative identity"
+    assert (mul[:, 0] == 0).all(), "multiplication by 0 must vanish"
+    assert ((add == 0).sum(axis=1) == 1).all(), "unique additive inverses"
+    assert ((mul[1:] == 1).sum(axis=1) == 1).all(), "unique multiplicative inverses"
     x, y, z = a[:, None, None], a[None, :, None], a[None, None, :]
-    assert (array_add(field, array_add(field, x, y), z)
-            == array_add(field, x, array_add(field, y, z))).all(), "addition associates"
-    assert (array_mul(field, array_mul(field, x, y), z)
-            == array_mul(field, x, array_mul(field, y, z))).all(), "multiplication associates"
-    assert (array_mul(field, x, array_add(field, y, z))
-            == array_add(field, array_mul(field, x, y), array_mul(field, x, z))).all(), \
+    assert (add[add[x, y], z] == add[x, add[y, z]]).all(), "addition associates"
+    assert (mul[mul[x, y], z] == mul[x, mul[y, z]]).all(), "multiplication associates"
+    assert (mul[x, add[y, z]] == add[mul[x, y], mul[x, z]]).all(), \
         "multiplication distributes over addition"
 
 

@@ -175,6 +175,25 @@ def test_sweep_validates_the_points_not_the_base_value_they_replace(axis, base, 
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_out_of_range_field_is_rejected_before_it_is_factored(monkeypatch):
+    # NetworkParams finds (p, m) by trial division: seconds for a large prime
+    real = cli.NetworkParams
+
+    def params(**kw):
+        assert kw["q"] <= fields.MAX_ORDER, f"NetworkParams built for q = {kw['q']}"
+        return real(**kw)
+
+    monkeypatch.setattr(cli, "NetworkParams", params)
+    base = ("--sources", "2", "--relays", "3", "--eps-sr", "0.1", "--eps-rd", "0.1")
+    for argv in (("bounds", "--field", "2305843009213693951", *base),
+                 ("sweep", "--axis", "q", "--values", "2,2305843009213693951",
+                  "--field", "2", "--no-sim", *base)):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err == f"error: field order must be at most {fields.MAX_ORDER}, " \
+                      "got 2305843009213693951\n"
+
+
 # ---------------------------------------------------------------------------
 # exact command
 
