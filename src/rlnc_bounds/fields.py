@@ -25,22 +25,54 @@ MAX_ORDER = 1 << 16
 _DENSE_LIMIT = 256
 
 
+# The first 13 primes: a strong probable prime to all of them is prime below
+# 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the fixed bases: exact for n < 3.3e24; above that, a
+    composite would have to be a strong pseudoprime to all 13 bases."""
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, m: int) -> int:
+    """Largest r with r^m <= n, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + n // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
+
+
 def _prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, m) with q = p^m and p prime, or None."""
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    n, m = q, 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    return (p, m) if n == 1 else None
+    for m in range(1, q.bit_length()):  # every m with 2^m <= q; none below 2
+        p = _iroot(q, m)
+        if p**m == q and _is_prime(p):
+            return p, m
+    return None
 
 
 def _digits(value: int, p: int, length: int) -> tuple[int, ...]:

@@ -19,6 +19,25 @@ from rlnc_bounds.bounds import NetworkParams, expected_null_vectors
 from rlnc_bounds.fields import FieldSpec, _dense_tables
 
 
+def prime_power_by_trial_division(q: int) -> tuple[int, int] | None:
+    """(p, m) with q = p^m and p prime, or None, by trial division: about
+    sqrt(q) steps for a prime q, so only small q are practical."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            break
+        p += 1
+    else:
+        return q, 1
+    n, m = q, 0
+    while n % p == 0:
+        n //= p
+        m += 1
+    return (p, m) if n == 1 else None
+
+
 def nullspace_rank(field: FieldSpec, rows: list[list[int]], cols: int) -> int:
     """rank = cols - log_q(#nullspace), counting Ax = 0 by enumeration."""
     q = field.q

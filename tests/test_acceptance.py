@@ -44,10 +44,10 @@ import pytest
 
 from rlnc_bounds.bounds import (NetworkParams, column_dependence_bound, evaluate_all,
                                 expected_null_vectors, lb_new, ub_new, ub_old)
-from rlnc_bounds.cli import _EPS_SR_GRID, _PRESETS, main
+from rlnc_bounds.cli import _EPS_SR_GRID, _PRESETS, _simulate_points, main
 from rlnc_bounds.fields import make_field
 from rlnc_bounds.linalg import rank_batch
-from rlnc_bounds.simulate import estimate_pfail, exact_pfail
+from rlnc_bounds.simulate import exact_pfail
 from support import (binom_ge, binom_le, check_field_axioms, nullspace_rank,
                      ub_old_binomial_form, ub_old_frac)
 from test_fields import ALL_PRIME_POWERS_256
@@ -91,15 +91,14 @@ def identity_grid():
 
 @pytest.fixture(scope="module")
 def preset_runs():
-    """BoundSet and a 10^5-trial simulation for every preset point."""
-    runs = {}
-    for name in ("fig2", "fig3", "fig4", "fig5"):
-        pts = []
-        for p in _preset_params(name):
-            bs = evaluate_all(p)
-            est = estimate_pfail(p, TRIALS, seed=SEED)
-            pts.append((p, bs, est))
-        runs[name] = pts
+    """BoundSet and a 10^5-trial simulation for every preset point, simulated
+    concurrently as the CLI does; the failure counts equal serial runs'."""
+    names = ("fig2", "fig3", "fig4", "fig5")
+    points = [(name, p) for name in names for p in _preset_params(name)]
+    ests = _simulate_points([p for _, p in points], TRIALS, SEED)
+    runs = {name: [] for name in names}
+    for (name, p), est in zip(points, ests):
+        runs[name].append((p, evaluate_all(p), est))
     return runs
 
 

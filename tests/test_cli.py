@@ -1,15 +1,19 @@
+import concurrent.futures
 import csv
 import inspect
 import io
 import re
 import sys
+import threading
 import unittest
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from rlnc_bounds import cli, fields, simulate
+from rlnc_bounds.bounds import NetworkParams
 from rlnc_bounds.cli import COLUMNS, main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -176,7 +180,7 @@ def test_sweep_validates_the_points_not_the_base_value_they_replace(axis, base, 
 
 
 def test_out_of_range_field_is_rejected_before_it_is_factored(monkeypatch):
-    # NetworkParams finds (p, m) by trial division: seconds for a large prime
+    # the range check comes first, so the error names the limit
     real = cli.NetworkParams
 
     def params(**kw):
@@ -192,6 +196,92 @@ def test_out_of_range_field_is_rejected_before_it_is_factored(monkeypatch):
         assert code == 2 and out == ""
         assert err == f"error: field order must be at most {fields.MAX_ORDER}, " \
                       "got 2305843009213693951\n"
+
+
+# ---------------------------------------------------------------------------
+# concurrent simulation of a sweep's points
+
+FIG3_SIM = ("sweep", "--preset", "fig3", "--trials", "5000", "--seed", "9")
+FIG3_POINTS = [NetworkParams(**kw) for kw in cli._PRESETS["fig3"]]
+
+
+def test_sweep_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    # 5000 trials span several batches at every worker count (4096 trials a
+    # batch with one worker, 1024 with four)
+    outs = []
+    for cores in (1, 4):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        code, out, _ = run_cli(*FIG3_SIM)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    _, rows = parse(outs[0])
+    assert len(rows) == len(FIG3_POINTS) == 18
+    for row, p in zip(rows, FIG3_POINTS):
+        serial = simulate.estimate_pfail(p, 5000, 9)
+        assert round(float(dict(zip(COLUMNS, row))["sim_estimate"]) * 5000) == serial.failures
+
+
+def test_every_point_is_simulated_once_through_the_cli_global(monkeypatch):
+    # benchmarks/worker.py traces the simulate layer by wrapping this name
+    calls = []
+    real = cli.estimate_pfail
+
+    def counting(p, *args, **kw):
+        calls.append(p)
+        return real(p, *args, **kw)
+
+    monkeypatch.setattr(cli, "estimate_pfail", counting)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
+    code, _, _ = run_cli("sweep", "--preset", "fig3", "--trials", "50")
+    assert code == 0
+    assert Counter(calls) == Counter(FIG3_POINTS)
+
+
+def test_no_pool_is_started_when_nothing_is_simulated(monkeypatch):
+    def no_pool(*args, **kw):
+        raise AssertionError("started a simulation pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    assert run_cli("sweep", "--preset", "fig3", "--no-sim")[0] == 0
+    assert run_cli("bounds", "--sources", "2", "--relays", "3", "--field", "2",
+                   "--eps-sr", "0.1", "--eps-rd", "0.1")[0] == 0
+    assert run_cli("exact", "--sources", "2", "--relays", "3", "--field", "2",
+                   "--eps-sr", "0.2", "--eps-rd", "0.1")[0] == 0
+
+
+def test_a_failing_point_ends_the_sweep_and_cancels_the_queued_ones(tmp_path, monkeypatch):
+    # two workers; point 0 fails while every other point that starts waits
+    # for `release`, which is set only once shutdown has cancelled the queue,
+    # so no point queued at the failure can start
+    release = threading.Event()
+    started = []
+
+    class ReleasingPool(concurrent.futures.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
+
+    def stub(p, *args):
+        i = FIG3_POINTS.index(p)
+        started.append(i)
+        if i == 0:
+            raise RuntimeError("point 0 failed")
+        assert release.wait(timeout=60), "the pool was never shut down"
+        return simulate.estimate_pfail(p, *args)
+
+    monkeypatch.setattr(cli, "estimate_pfail", stub)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", ReleasingPool)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"earlier results\n")
+    with pytest.raises(RuntimeError, match="point 0 failed"):
+        run_cli("sweep", "--preset", "fig3", "--trials", "10", "--output", str(target))
+    assert target.read_bytes() == b"earlier results\n"
+    # points 1 and 2 may start beside point 0 before its failure is read: one
+    # on the second worker, one on the worker point 0 freed
+    assert 0 in started and set(started) <= {0, 1, 2}, started
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +307,18 @@ def test_exact_command_saturated_erasure():
     assert code == 0
     header, rows = parse(out)
     assert float(dict(zip(header, rows[0]))["exact_pfail"]) == 1.0
+
+
+def test_exact_guard_stops_a_sweep_before_any_simulation(monkeypatch):
+    def no_sim(*args):
+        raise AssertionError("simulated before the oracle's guard")
+
+    monkeypatch.setattr(cli, "estimate_pfail", no_sim)
+    code, out, err = run_cli("sweep", "--axis", "eps-rd", "--values", "0.1,0.2",
+                             "--sources", "3", "--relays", "20", "--field", "64",
+                             "--eps-sr", "0.2", "--eps-rd", "0.1", "--trials", "10",
+                             "--exact")
+    assert code == 3 and out == "" and "state space" in err
 
 
 def test_exact_guard_exit_code():

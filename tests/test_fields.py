@@ -1,21 +1,13 @@
+from time import perf_counter
+
 import numpy as np
 import pytest
 
-from rlnc_bounds.fields import FieldSpec, _dense_tables, _inv_table, make_field
-from support import check_field_axioms
+from rlnc_bounds.bounds import NetworkParams
+from rlnc_bounds.fields import FieldSpec, _dense_tables, _inv_table, _prime_power, make_field
+from support import check_field_axioms, prime_power_by_trial_division
 
-def _prime_powers(limit):
-    out = []
-    for q in range(2, limit + 1):
-        p = next(d for d in range(2, q + 1) if q % d == 0)
-        n = q
-        while n % p == 0:
-            n //= p
-        if n == 1:
-            out.append(q)
-    return out
-
-ALL_PRIME_POWERS_256 = _prime_powers(256)
+ALL_PRIME_POWERS_256 = [q for q in range(2, 257) if prime_power_by_trial_division(q)]
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +39,36 @@ def test_rejects_non_prime_powers():
     for bad in (6, 10, 12, 100, 65535):
         with pytest.raises(ValueError, match="prime power"):
             make_field(bad)
+
+
+def test_prime_power_matches_trial_division_below_1e5():
+    for q in range(-1, 10**5):
+        assert _prime_power(q) == prime_power_by_trial_division(q), q
+
+
+@pytest.mark.parametrize("q, want", [
+    (2**61 - 1, (2**61 - 1, 1)),
+    (3**39, (3, 39)),
+    ((2**31 - 1) ** 2, (2**31 - 1, 2)),
+    (3 * (2**61 - 1), None),
+    (2**64, (2, 64)),
+    # 399165290221 * 798330580441, a strong pseudoprime to the prime bases
+    # 2..37; base 41 exposes it
+    (318665857834031151167461, None),
+])
+def test_prime_power_of_large_orders_is_fast(q, want):
+    # trial division needs minutes for 2^61 - 1
+    t0 = perf_counter()
+    assert _prime_power(q) == want
+    assert perf_counter() - t0 < 0.5
+
+
+def test_network_params_accept_a_large_prime_order_at_once():
+    t0 = perf_counter()
+    NetworkParams(2, 3, 100000000000031, 0.1, 0.1)
+    with pytest.raises(ValueError, match="prime power"):
+        NetworkParams(2, 3, 100000000000031 * 3, 0.1, 0.1)
+    assert perf_counter() - t0 < 0.5
 
 
 def test_rejects_out_of_range_orders():
