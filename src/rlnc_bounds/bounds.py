@@ -92,14 +92,16 @@ def row_zero_sum_prob(params: NetworkParams, weight: int) -> float:
     return min(1.0, max(0.0, _row_zero_sum_raw(params, weight)))
 
 
-def _weight_terms(params: NetworkParams) -> list[tuple[float, float]]:
+def _weight_terms(params: NetworkParams, erased: float = 0.0) -> list[tuple[float, float]]:
     """Per weight w = 1..N, the row-count-free parts of the null-vector
-    series: log C(N, w) + (w - 1) log(q - 1), and log(gamma_w)."""
+    series: log C(N, w) + (w - 1) log(q - 1), and log(v_w) with
+    v_w = erased + (1 - erased) * gamma_w, a row that is erased with
+    probability ``erased`` counting as zero (v_w = gamma_w at 0)."""
     n, q = params.n_sources, params.q
     lq1 = math.log(q - 1.0) if q > 2 else 0.0
-    gammas = [row_zero_sum_prob(params, w) for w in range(1, n + 1)]
-    return [(_log_comb(n, w) + (w - 1) * lq1, math.log(g) if g else -math.inf)
-            for w, g in enumerate(gammas, 1)]
+    vs = [erased + (1.0 - erased) * row_zero_sum_prob(params, w) for w in range(1, n + 1)]
+    return [(_log_comb(n, w) + (w - 1) * lq1, math.log(v) if v else -math.inf)
+            for w, v in enumerate(vs, 1)]
 
 
 def _null_vector_sum(terms: list[tuple[float, float]], rows: int) -> float:
@@ -125,16 +127,10 @@ def ub_old(params: NetworkParams) -> float:
     Folds relay-side erasures into each row term and is reported unclamped:
     the value exceeding 1 in loose regimes is part of its behaviour.
     :class:`BoundSet` carries the min(., 1) view as ``ub_old_clamped``.
+    It is the null-vector series of M rows, each erased with probability
+    eps_rd.
     """
-    n, m, q = params.n_sources, params.n_relays, params.q
-    lq1 = math.log(q - 1.0) if q > 2 else 0.0
-    total = 0.0
-    for w in range(1, n + 1):
-        v = params.eps_rd + (1.0 - params.eps_rd) * row_zero_sum_prob(params, w)
-        if v == 0.0:
-            continue  # m >= 1, so the term vanishes
-        total += _exp(_log_comb(n, w) + (w - 1) * lq1 + m * math.log(v))
-    return total
+    return _null_vector_sum(_weight_terms(params, params.eps_rd), params.n_relays)
 
 
 def _delivery_pmf(m: int, eps_rd: float) -> list[float]:

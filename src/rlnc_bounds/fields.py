@@ -1,10 +1,21 @@
-"""Exact arithmetic over prime-power finite fields.
+"""Prime-power finite fields: their parameters and arithmetic tables.
 
 Field elements are plain integers in ``[0, q)``.  For an extension field
 (q = p^m with m > 1) the integer packs the base-p digit vector of the
-polynomial representation: digit k is the coefficient of x^k.  All context
-travels in an immutable :class:`FieldSpec`, so operations are pure and safe
-under arbitrary parallelism.
+polynomial representation: digit k is the coefficient of x^k, so addition
+is digit-wise mod p.  A :class:`FieldSpec` is an immutable, validated
+record of the field and its tables; it has no arithmetic of its own.  The
+batched kernel in ``linalg`` computes with the tables, and the scalar
+reference operations the tests check it against live in
+``tests/support.py``.
+
+An extension field has one log/exp table pair, over a generator g of the
+multiplicative group, laid out for products of up to three factors:
+``log_table`` (intp, length q) holds log(a) in ``[0, q - 1)`` and the
+sentinel log(0) = 3(q - 1); ``exp_table`` (entry dtype, length 7(q - 1))
+holds g^k for every k below 3(q - 1) and 0 from 3(q - 1) on.  So
+``exp[log a + log b + lc]``, with lc the log of a nonzero factor, is the
+product, and 0 whenever a or b is 0.
 
 Reduction polynomials are fixed per (p, m): the lexicographically least
 monic irreducible polynomial, taking the coefficient of the highest power
@@ -158,7 +169,8 @@ def _ext_mul_fn(p: int, m: int, poly):
 
 
 def _build_log_tables(q: int, p: int, m: int, poly):
-    """Discrete-log tables over a generator of the multiplicative group."""
+    """Discrete-log tables over a generator of the multiplicative group, in
+    the layout of the module docstring."""
     mul = _ext_mul_fn(p, m, poly)
 
     def power(a: int, k: int) -> int:
@@ -185,27 +197,28 @@ def _build_log_tables(q: int, p: int, m: int, poly):
     gen = next(g for g in range(2, q)
                if all(power(g, order // f) != 1 for f in factors))
 
-    exp = np.zeros(2 * order, dtype=np.int32)
-    log = np.zeros(q, dtype=np.int32)
-    x = 1
-    for i in range(order):
-        exp[i] = x
-        log[x] = i
-        x = mul(x, gen)
-    if x != 1:
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(mul(powers[-1], gen))
+    if mul(powers[-1], gen) != 1:
         raise AssertionError("generator order mismatch")
-    exp[order:] = exp[:order]
+    zero = 3 * order
+    exp = np.zeros(2 * zero + order, dtype=entry_dtype(q))
+    exp[:zero] = np.tile(powers, 3)
+    log = np.full(q, zero, dtype=np.intp)
+    log[powers] = np.arange(order)
     return exp, log
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Immutable description of F_q with its arithmetic tables.
+    """Immutable, validated description of F_q and its tables.
 
     q = p^m with p prime.  ``reduction_polynomial`` holds coefficients in
     ascending power order, monic of degree m (a placeholder (0, 1) when
     m = 1, where plain modular arithmetic applies).  ``exp_table`` and
-    ``log_table`` are present exactly when m > 1.
+    ``log_table`` are present exactly when m > 1, in the layout of the
+    module docstring.
     """
 
     q: int
@@ -226,44 +239,10 @@ class FieldSpec:
         if (self.exp_table is None) != (self.log_table is None):
             raise ValueError("exp/log tables must be given together")
         if self.exp_table is not None:
-            a = np.arange(1, self.q)
+            # 0 included: its sentinel log must land on a zero of exp
+            a = np.arange(self.q)
             if not (self.exp_table[self.log_table[a]] == a).all():
                 raise ValueError("exp/log tables are inconsistent")
-
-    # Scalar operations.  Elements are assumed to lie in [0, q); only
-    # inv(0) is a checked error, per the module contract.
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % self.q
-        return _pack(((x + y) % self.p for x, y in
-                      zip(_digits(a, self.p, self.m), _digits(b, self.p, self.m))), self.p)
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.m == 1:
-            return (-a) % self.q
-        return _pack(((-x) % self.p for x in _digits(a, self.p, self.m)), self.p)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.q
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_table[self.log_table[a] + self.log_table[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"zero has no multiplicative inverse in F_{self.q}")
-        if self.m == 1:
-            return pow(a, -1, self.q)
-        return int(self.exp_table[(self.q - 1) - self.log_table[a]])
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +250,7 @@ def make_field(q: int) -> FieldSpec:
     """Build F_q with the fixed reduction polynomial for (p, m).
 
     Accepts any prime power 2 <= q <= 2^16; rejects everything else.
-    Extension fields carry discrete-log tables so multiplication is O(1).
+    Extension fields carry their log/exp tables.
     """
     if not isinstance(q, int) or isinstance(q, bool):
         raise TypeError(f"field order must be an integer, got {type(q).__name__}")
@@ -296,41 +275,38 @@ def entry_dtype(q: int):
 # Dense q x q addition, subtraction and multiplication tables for q <= 256.
 # No library code computes with them.  They stay because
 # benchmarks/worker.py sizes them (with _DENSE_LIMIT) for its table_mb
-# metric, and the tests check them against the scalar operations; they can
-# move to tests/ once the benchmark stops reading them.
+# metric; the tests check them against the scalar reference operations.
+# They can move to tests/ once the benchmark stops reading them.
 
 @lru_cache(maxsize=None)
 def _dense_tables(f: FieldSpec):
-    q = f.q
-    i = np.arange(q, dtype=np.int64)
-    a, b = i[:, None], i[None, :]
+    """(add, sub, mul) tables: a +/- b = sum_k ((a_k +/- b_k) mod p) p^k over
+    the base-p digits a_k, b_k, and a * b = a*b mod q for prime q, else
+    exp[log a + log b]."""
+    p, q = f.p, f.q
+    d = np.arange(p)
+    tables = []
+    for digit in ((d[:, None] + d[None, :]) % p, (d[:, None] - d[None, :]) % p):
+        # prepend digit k to the table over the k lower digits
+        t = np.zeros((1, 1), dtype=np.int64)
+        for k in range(f.m):
+            n = p**k
+            t = (digit[:, None, :, None] * n + t[None, :, None, :]).reshape(p * n, p * n)
+        tables.append(t)
+    i = np.arange(q)
     if f.m == 1:
-        add_t = (a + b) % q
-        sub_t = (a - b) % q
-        mul_t = (a * b) % q
+        tables.append(i[:, None] * i[None, :] % q)
     else:
-        if f.p == 2:
-            add_t = a ^ b
-        else:
-            add_t = np.zeros((q, q), dtype=np.int64)
-            for x in range(q):
-                for y in range(x, q):
-                    s = f.add(x, y)
-                    add_t[x, y] = add_t[y, x] = s
-        neg = np.array([f.neg(x) for x in range(q)], dtype=np.int64)
-        sub_t = add_t[:, neg]
-        la, lb = f.log_table[a], f.log_table[b]
-        mul_t = np.where((a == 0) | (b == 0), 0, f.exp_table[la + lb]).astype(np.int64)
-    return tuple(t.astype(entry_dtype(q)) for t in (add_t, sub_t, mul_t))
+        tables.append(f.exp_table[f.log_table[:, None] + f.log_table[None, :]])
+    return tuple(t.astype(entry_dtype(q)) for t in tables)
 
 
 @lru_cache(maxsize=None)
 def _inv_table(f: FieldSpec) -> np.ndarray:
     """inv_table[a] = a^-1 for a != 0; entry 0 is a placeholder."""
     if f.m > 1:
-        a = np.arange(f.q)
-        out = f.exp_table[(f.q - 1) - f.log_table[a]].astype(np.int64)
-        out[0] = 0
+        out = np.zeros(f.q, dtype=np.int64)
+        out[1:] = f.exp_table[(f.q - 1) - f.log_table[1:]]
         return out
     # Fermat: a^(q-2) by vectorised square-and-multiply
     out = np.ones(f.q, dtype=np.int64)
@@ -343,25 +319,6 @@ def _inv_table(f: FieldSpec) -> np.ndarray:
         e >>= 1
     out[0] = 0
     return out
-
-
-@lru_cache(maxsize=None)
-def _log_exp_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Log and exp tables of an extension field for products
-    ``exp[log[a] + log[b] + lc]``, where ``lc`` in ``[0, q - 1)`` is the log
-    of a nonzero factor.
-
-    The log of 0 is a sentinel above every sum of three true logs, and the
-    exp table is zero from the sentinel on, so a product with a zero factor
-    is 0.
-    """
-    order = f.q - 1
-    zero = 3 * order
-    log = f.log_table.astype(np.intp)
-    log[0] = zero
-    exp = np.zeros(2 * zero + order, dtype=entry_dtype(f.q))
-    exp[:zero] = np.tile(f.exp_table[:order], 3)
-    return log, exp
 
 
 @lru_cache(maxsize=None)
@@ -390,7 +347,7 @@ def _zech_tables(f: FieldSpec):
     zech = np.arange(bzero - 2 * lzero + 1, dtype=np.int32) - off
     zech[off + n:bzero + 1] = 0
     d = np.arange(off + n)
-    e = f.exp_table[:n]
+    e = f.exp_table[:n].astype(np.intp)
     one_plus = e - e % f.p + (e % f.p + 1) % f.p
     zech[d] = np.where(one_plus == 0, off + n, f.log_table[one_plus])[(d - off) % n]
     exp = np.zeros(bzero + 1, dtype=entry_dtype(f.q))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldSpec, _inv_table, _log_exp_tables, _zech_tables, entry_dtype
+from .fields import FieldSpec, _inv_table, _zech_tables, entry_dtype
 
 
 def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
@@ -57,7 +57,7 @@ def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
         dt = next(t for t in (np.uint8, np.uint16, np.uint32) if q * q - 1 <= np.iinfo(t).max)
         inv = _inv_table(field).astype(dt)
     elif field.p == 2:
-        log, exp = _log_exp_tables(field)
+        log, exp = field.log_table, field.exp_table
         # log(x^b): x^b is the element whose integer form has only bit b set
         xlog = log.take(1 << np.arange(field.m))
     else:

@@ -97,16 +97,6 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
 
 
-def _philox_at(seed: int, block: int) -> np.random.Philox:
-    check_seed(seed)
-    # as a list, seeds above 2^63 would be rounded through float64
-    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    st = bg.state
-    st["state"]["counter"][:] = (block & _MASK64, block >> 64, 0, 0)
-    bg.state = st
-    return bg
-
-
 def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
                    batch_size: int = BATCH_TRIALS) -> SimEstimate:
     """Estimate the failure probability from ``trials`` independent draws.
@@ -121,14 +111,17 @@ def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
         raise ValueError("trials must be >= 1")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    check_seed(seed)
     f = make_field(params.q)
     m, n = params.n_relays, params.n_sources
     need = m * n + m
     stride = _trial_stride(params)
+    # as a list, seeds above 2^63 would be rounded through float64
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     failures = 0
     for start in range(0, trials, batch_size):
         b = min(batch_size, trials - start)
-        gen = np.random.Generator(_philox_at(seed, start * stride))
+        # whole trial windows, so the next batch starts at block (start + b) * stride
         u = gen.random(b * stride * 4).reshape(b, stride * 4)
         coeffs = _coefficients_from_uniform(u[:, :m * n], params.eps_sr, params.q)
         coeffs = coeffs.reshape(b, m, n)

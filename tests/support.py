@@ -1,17 +1,21 @@
 """Shared independent oracles for the test suite.
 
 Everything here deliberately avoids the library's computation paths:
-ranks come from nullspace enumeration or a scalar elimination on Python
-ints, probabilities from exact rational arithmetic or second forms of the
+field arithmetic comes from scalar operations on Python ints, ranks from
+nullspace enumeration or a scalar elimination with those operations,
+probabilities from exact rational arithmetic or second forms of the
 closed-form bounds, simulated draws from one trial at a time, and the
 tiny-instance failure probability from enumerating the full joint (matrix,
 erasure-pattern) space.
 """
 
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,14 +42,61 @@ def prime_power_by_trial_division(q: int) -> tuple[int, int] | None:
     return (p, m) if n == 1 else None
 
 
+class ScalarOps(NamedTuple):
+    """One field's arithmetic on Python ints in [0, q), one element at a
+    time: the reference for the library's tables and batched kernel."""
+
+    add: Callable[[int, int], int]
+    sub: Callable[[int, int], int]
+    mul: Callable[[int, int], int]
+    inv: Callable[[int], int]
+
+
+@lru_cache(maxsize=None)
+def scalar_ops(field: FieldSpec) -> ScalarOps:
+    """Prime fields reduce mod q.  Extensions add digit-wise,
+    sum_k ((a // p^k +/- b // p^k) mod p) p^k, which is XOR for p = 2, and
+    multiply through the field's log/exp tables, whose entries the
+    exhaustive axiom check covers for q <= 256."""
+    p, q = field.p, field.q
+
+    def checked(a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError(f"zero has no multiplicative inverse in F_{q}")
+        return a
+
+    if field.m == 1:
+        return ScalarOps(add=lambda a, b: (a + b) % q, sub=lambda a, b: (a - b) % q,
+                         mul=lambda a, b: a * b % q, inv=lambda a: pow(checked(a), -1, q))
+    log, exp = field.log_table.tolist(), field.exp_table.tolist()
+
+    def mul(a: int, b: int) -> int:
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def inv(a: int) -> int:
+        return exp[(q - 1) - log[checked(a)]]
+
+    if p == 2:
+        return ScalarOps(add=operator.xor, sub=operator.xor, mul=mul, inv=inv)
+    weights = [p**k for k in range(field.m)]
+
+    def add(a: int, b: int) -> int:
+        return sum((a // w + b // w) % p * w for w in weights)
+
+    def sub(a: int, b: int) -> int:
+        return sum((a // w - b // w) % p * w for w in weights)
+
+    return ScalarOps(add=add, sub=sub, mul=mul, inv=inv)
+
+
 def nullspace_rank(field: FieldSpec, rows: list[list[int]], cols: int) -> int:
     """rank = cols - log_q(#nullspace), counting Ax = 0 by enumeration."""
-    q = field.q
+    q, ops = field.q, scalar_ops(field)
     null = 0
     for x in product(range(q), repeat=cols):
         if not any(x):
             continue
-        if all(_dot_is_zero(field, row, x) for row in rows):
+        if all(_dot_is_zero(ops, row, x) for row in rows):
             null += 1
     size = null + 1
     nullity = 0
@@ -61,8 +112,9 @@ def scalar_rank(field: FieldSpec, rows, cols: int) -> int:
 
     Division-free, unlike the library's batched kernel: a row below the
     pivot is replaced by ``pivot*row - entry*pivot_row``, which does not
-    change the rank.  Uses only the scalar ``FieldSpec`` operations.
+    change the rank.  Uses only the scalar operations of ``scalar_ops``.
     """
+    ops = scalar_ops(field)
     mat = [[int(x) for x in row] for row in rows]
     rank = 0
     for c in range(cols):
@@ -75,16 +127,16 @@ def scalar_rank(field: FieldSpec, rows, cols: int) -> int:
         for i in range(rank + 1, len(mat)):
             e = mat[i][c]
             if e:
-                mat[i] = [field.sub(field.mul(pv, x), field.mul(e, y))
+                mat[i] = [ops.sub(ops.mul(pv, x), ops.mul(e, y))
                           for x, y in zip(mat[i], pivrow)]
         rank += 1
     return rank
 
 
-def _dot_is_zero(field: FieldSpec, row, x) -> bool:
+def _dot_is_zero(ops: ScalarOps, row, x) -> bool:
     acc = 0
     for a, b in zip(row, x):
-        acc = field.add(acc, field.mul(a, b))
+        acc = ops.add(acc, ops.mul(a, b))
     return acc == 0
 
 

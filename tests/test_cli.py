@@ -416,6 +416,12 @@ def test_the_names_the_benchmark_reads_exist():
         assert hasattr(fields, name), name
 
 
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_the_benchmark_set_up_builds_its_fields(name):
+    # the set-up reads the field tables' attributes, not only their names
+    assert worker.build_fields(fields, workloads.WORKLOADS[name]) > 0
+
+
 def test_the_benchmark_selftest_passes():
     # traced and untraced passes write the same bytes, corrupted bounds and
     # counts are caught, and the metric names are valid

@@ -3,7 +3,7 @@ import pytest
 
 from rlnc_bounds.fields import make_field
 from rlnc_bounds.linalg import rank_batch
-from support import nullspace_rank, scalar_rank
+from support import nullspace_rank, scalar_ops, scalar_rank
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +75,7 @@ def test_rank_invariant_under_row_operations():
     rng = np.random.default_rng(79)
     for q in (2, 3, 4, 9):
         f = make_field(q)
+        ops = scalar_ops(f)
         for _ in range(30):
             rows, cols = int(rng.integers(2, 6)), int(rng.integers(1, 6))
             ents = rng.integers(0, q, size=(rows, cols))
@@ -87,11 +88,11 @@ def test_rank_invariant_under_row_operations():
 
             c = int(rng.integers(1, q))
             scaled = ents.copy()
-            scaled[i] = [f.mul(c, int(x)) for x in scaled[i]]
+            scaled[i] = [ops.mul(c, int(x)) for x in scaled[i]]
             assert rank_batch(f, scaled[None])[0] == base
 
             added = ents.copy()
-            added[i] = [f.add(int(x), f.mul(c, int(y)))
+            added[i] = [ops.add(int(x), ops.mul(c, int(y)))
                         for x, y in zip(added[i], ents[j])]
             assert rank_batch(f, added[None])[0] == base
 
@@ -100,36 +101,46 @@ def test_rank_invariant_under_row_operations():
 # batched kernel
 
 
+def _sparse_stack(rng, q, shape):
+    """Entries nonzero with probability 0.4 and rows erased with
+    probability 0.15, as the simulator draws them."""
+    mats = rng.integers(1, q, size=shape) * (rng.random(shape) < 0.4)
+    mats *= rng.random((*shape[:2], 1)) < 0.85
+    return mats
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 32, 49, 64, 121, 128, 243, 256, 257,
                                2401, 3125, 4096, 59049, 63001, 65521])
 def test_rank_batch_matches_scalar(q):
+    # dense stacks are nearly all of full rank, which a wrong product keeps;
+    # the sparse ones have dependent rows that it breaks
     rng = np.random.default_rng(q)
     f = make_field(q)
-    mats = rng.integers(0, q, size=(150, 5, 4))
-    got = rank_batch(f, mats)
-    want = [scalar_rank(f, m, 4) for m in mats]
-    assert got.tolist() == want
+    for mats in (rng.integers(0, q, size=(150, 5, 4)), _sparse_stack(rng, q, (150, 5, 4))):
+        got = rank_batch(f, mats)
+        want = [scalar_rank(f, m, 4) for m in mats]
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 27, 64, 256, 257, 3125, 65536])
 def test_rank_batch_target_decision_agrees(q):
     rng = np.random.default_rng(q + 1)
     f = make_field(q)
-    mats = rng.integers(0, q, size=(200, 6, 4))
-    full = rank_batch(f, mats)
-    early = rank_batch(f, mats, target=4)
-    assert ((early < 4) == (full < 4)).all()
-    assert (early[early >= 4] == full[early >= 4]).all()
+    for mats in (rng.integers(0, q, size=(200, 6, 4)), _sparse_stack(rng, q, (200, 6, 4))):
+        want = np.array([scalar_rank(f, m, 4) for m in mats])
+        full = rank_batch(f, mats)
+        early = rank_batch(f, mats, target=4)
+        assert (full == want).all()
+        assert ((early < 4) == (want < 4)).all()
+        assert (early[early >= 4] == want[early >= 4]).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 64, 243, 256, 3125, 65536])
 def test_rank_batch_figure_sized_stacks(q):
-    # sparse entries and erased rows, as the simulator draws them, so that
-    # matrices leave the working stack part-way through
+    # sparse stacks, so that matrices leave the working stack part-way through
     rng = np.random.default_rng(q + 2)
     f = make_field(q)
-    mats = rng.integers(1, q, size=(300, 25, 20)) * (rng.random((300, 25, 20)) < 0.4)
-    mats *= rng.random((300, 25, 1)) < 0.85
+    mats = _sparse_stack(rng, q, (300, 25, 20))
     want = np.array([scalar_rank(f, m, 20) for m in mats])
     assert 0 < (want < 20).sum() < len(mats)
     assert ((rank_batch(f, mats, target=20) < 20) == (want < 20)).all()

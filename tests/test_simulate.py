@@ -234,8 +234,13 @@ def test_out_of_range_seeds_are_rejected(seed):
 def test_seeds_above_2_63_keep_their_own_stream():
     # a list key would round these through float64: 2^63 + 1 onto 2^63,
     # and 2^64 - 1 onto 0 with a cast warning
+    p, trials = P(2, 4, 3, 0.3, 0.25), 600
+    seeds = (0, 2**63, 2**63 + 1, 2**64 - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        draws = {s: np.random.Generator(simulate._philox_at(s, 0)).random(4).tolist()
-                 for s in (0, 2**63, 2**63 + 1, 2**64 - 1)}
-    assert len({tuple(d) for d in draws.values()}) == 4
+        got = [estimate_pfail(p, trials, s).failures for s in seeds]
+    f = make_field(p.q)
+    want = [sum(scalar_rank(f, sample_received_matrix(p, trial_rng(p, s, t)), 2) < 2
+                for t in range(trials)) for s in seeds]
+    assert got == want
+    assert len(set(got)) == 4
