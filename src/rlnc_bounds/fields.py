@@ -1,21 +1,22 @@
 """Prime-power finite fields: their parameters and arithmetic tables.
 
-Field elements are plain integers in ``[0, q)``.  For an extension field
-(q = p^m with m > 1) the integer packs the base-p digit vector of the
-polynomial representation: digit k is the coefficient of x^k, so addition
-is digit-wise mod p.  A :class:`FieldSpec` is an immutable, validated
-record of the field and its tables; it has no arithmetic of its own.  The
-batched kernel in ``linalg`` computes with the tables, and the scalar
-reference operations the tests check it against live in
-``tests/support.py``.
+Field elements are plain integers in ``[0, q)`` that pack base-p digit
+vectors: for q = p^m, digit k is the coefficient of x^k in the polynomial
+representation, so addition is digit-wise mod p.  A :class:`FieldSpec` is
+an immutable, validated record of the field and its tables; it has no
+arithmetic of its own.  The batched kernel in ``linalg`` computes with the
+tables, and the scalar reference operations the tests check it against
+live in ``tests/support.py``.
 
-An extension field has one log/exp table pair, over a generator g of the
-multiplicative group, laid out for products of up to three factors:
-``log_table`` (intp, length q) holds log(a) in ``[0, q - 1)`` and the
-sentinel log(0) = 3(q - 1); ``exp_table`` (entry dtype, length 7(q - 1))
-holds g^k for every k below 3(q - 1) and 0 from 3(q - 1) on.  So
-``exp[log a + log b + lc]``, with lc the log of a nonzero factor, is the
-product, and 0 whenever a or b is 0.
+Every field, prime or not, has one log/exp table pair over its least
+generator g of the multiplicative group, laid out for products of up to
+three factors: ``log_table`` (intp, length q) holds log(a) in
+``[0, q - 1)`` and the sentinel log(0) = 3(q - 1); ``exp_table`` (entry
+dtype, length 7(q - 1)) holds g^k for every k below 3(q - 1) and 0 from
+3(q - 1) on.  So ``exp[log a + log b + lc]``, with lc the log of a nonzero
+factor, is the product, and 0 whenever a or b is 0.  One construction
+builds the pair for every order: multiplication by g is an m x m matrix
+over F_p, and its powers give the powers of g (``_build_log_tables``).
 
 Reduction polynomials are fixed per (p, m): the lexicographically least
 monic irreducible polynomial, taking the coefficient of the highest power
@@ -87,18 +88,7 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 
 
 def _digits(value: int, p: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(value % p)
-        value //= p
-    return tuple(out)
-
-
-def _pack(digits, p: int) -> int:
-    out = 0
-    for d in reversed(list(digits)):
-        out = out * p + d
-    return out
+    return tuple(value // p**k % p for k in range(length))
 
 
 def _poly_rem(num, den, p: int) -> tuple[int, ...]:
@@ -113,6 +103,7 @@ def _poly_rem(num, den, p: int) -> tuple[int, ...]:
     return tuple(num[:d]) if d > 0 else ()
 
 
+@lru_cache(maxsize=None)
 def _is_irreducible(poly, p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg(poly)/2."""
     m = len(poly) - 1
@@ -137,50 +128,33 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
-def _ext_mul_fn(p: int, m: int, poly):
-    """Scalar multiply for the extension field, used only to build tables."""
-    if p == 2:
-        red = _pack(poly, 2)
-        mask = 1 << m
-
-        def mul2(a: int, b: int) -> int:
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & mask:
-                    a ^= red
-            return r
-
-        return mul2
-
-    def mulp(a: int, b: int) -> int:
-        da, db = _digits(a, p, m), _digits(b, p, m)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        return _pack(_poly_rem(prod, poly, p), p)
-
-    return mulp
+def _mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """a^k over F_p, by square-and-multiply."""
+    r = np.eye(len(a), dtype=np.int64)
+    while k:
+        if k & 1:
+            r = r @ a % p
+        a = a @ a % p
+        k >>= 1
+    return r
 
 
 def _build_log_tables(q: int, p: int, m: int, poly):
-    """Discrete-log tables over a generator of the multiplicative group, in
-    the layout of the module docstring."""
-    mul = _ext_mul_fn(p, m, poly)
+    """Discrete-log tables over the least generator g of the multiplicative
+    group, in the layout of the module docstring.
 
-    def power(a: int, k: int) -> int:
-        r = 1
-        while k:
-            if k & 1:
-                r = mul(r, a)
-            a = mul(a, a)
-            k >>= 1
-        return r
+    Multiplying by a fixed element is F_p-linear on the digit vectors: an
+    m x m matrix over F_p whose row k holds the digits of x^k times the
+    element.  Times x shifts the digits up and folds x^m = -(poly[0] +
+    poly[1] x + ...) into the last row; g is sum_k g_k (times x)^k.  For
+    m = 1 the polynomial is x, and every matrix is the element itself.
+    """
+    times_x = np.eye(m, k=1, dtype=np.int64)
+    times_x[-1] = [-c % p for c in poly[:-1]]
+    x_pows = [_mat_pow(times_x, k, p) for k in range(m)]
+
+    def matrix(g: int) -> np.ndarray:
+        return sum(d * xk for d, xk in zip(_digits(g, p, m), x_pows)) % p
 
     order = q - 1
     factors = []
@@ -194,19 +168,26 @@ def _build_log_tables(q: int, p: int, m: int, poly):
     if n > 1:
         factors.append(n)
 
-    gen = next(g for g in range(2, q)
-               if all(power(g, order // f) != 1 for f in factors))
+    one = x_pows[0]
+    gen = next(g for g in range(1, q)
+               if all((_mat_pow(matrix(g), order // f, p) != one).any() for f in factors))
 
-    powers = [1]
-    for _ in range(order - 1):
-        powers.append(mul(powers[-1], gen))
-    if mul(powers[-1], gen) != 1:
+    # digits of g^0, ..., g^(k-1), then g^k, ..., g^(2k-1) as those times g^k
+    powers = np.zeros((1 << order.bit_length(), m), dtype=np.int64)
+    powers[0, 0] = 1
+    step, k = matrix(gen), 1
+    while k < len(powers):
+        block = np.matmul(powers[:k], step, out=powers[k:2 * k])
+        np.remainder(block, p, out=block)
+        step, k = step @ step % p, 2 * k
+    powers = powers[:q] @ p ** np.arange(m)
+    if powers[order] != 1:
         raise AssertionError("generator order mismatch")
     zero = 3 * order
     exp = np.zeros(2 * zero + order, dtype=entry_dtype(q))
-    exp[:zero] = np.tile(powers, 3)
+    exp[:zero] = np.tile(powers[:order], 3)
     log = np.full(q, zero, dtype=np.intp)
-    log[powers] = np.arange(order)
+    log[powers[:order]] = np.arange(order)
     return exp, log
 
 
@@ -214,44 +195,43 @@ def _build_log_tables(q: int, p: int, m: int, poly):
 class FieldSpec:
     """Immutable, validated description of F_q and its tables.
 
-    q = p^m with p prime.  ``reduction_polynomial`` holds coefficients in
-    ascending power order, monic of degree m (a placeholder (0, 1) when
-    m = 1, where plain modular arithmetic applies).  ``exp_table`` and
-    ``log_table`` are present exactly when m > 1, in the layout of the
-    module docstring.
+    q = p^m <= 2^16 with p prime, as the tables hold at most uint16.
+    ``reduction_polynomial`` holds coefficients in ascending power order,
+    monic and irreducible of degree m ((0, 1), that is x, when m = 1).  The
+    record builds its own ``exp_table`` and ``log_table``: one pair for
+    every field, by ``_build_log_tables``, in the module docstring's layout.
     """
 
     q: int
     p: int
     m: int
     reduction_polynomial: tuple[int, ...]
-    exp_table: np.ndarray | None = field(default=None, repr=False, compare=False)
-    log_table: np.ndarray | None = field(default=None, repr=False, compare=False)
+    exp_table: np.ndarray = field(init=False, repr=False, compare=False)
+    log_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.q > MAX_ORDER:
+            raise ValueError(f"field order must be at most 2^16, got {self.q}")
         if _prime_power(self.q) != (self.p, self.m):
             raise ValueError(f"inconsistent field parameters q={self.q}, p={self.p}, m={self.m}")
         poly = self.reduction_polynomial
         if len(poly) != self.m + 1 or poly[-1] != 1 or any(not 0 <= c < self.p for c in poly[:-1]):
             raise ValueError("reduction polynomial must be monic of degree m with coefficients in [0, p)")
-        if self.m > 1 and not _is_irreducible(poly, self.p):
+        if not _is_irreducible(poly, self.p):
             raise ValueError(f"reduction polynomial {poly} is reducible over F_{self.p}")
-        if (self.exp_table is None) != (self.log_table is None):
-            raise ValueError("exp/log tables must be given together")
-        if self.exp_table is not None:
-            # 0 included: its sentinel log must land on a zero of exp
-            a = np.arange(self.q)
-            if not (self.exp_table[self.log_table[a]] == a).all():
-                raise ValueError("exp/log tables are inconsistent")
+        exp, log = _build_log_tables(self.q, self.p, self.m, poly)
+        # 0 included: its sentinel log must land on a zero of exp
+        a = np.arange(self.q)
+        if not (exp[log[a]] == a).all():
+            raise ValueError("exp/log tables are inconsistent")
+        object.__setattr__(self, "exp_table", exp)
+        object.__setattr__(self, "log_table", log)
 
 
 @lru_cache(maxsize=None)
 def make_field(q: int) -> FieldSpec:
-    """Build F_q with the fixed reduction polynomial for (p, m).
-
-    Accepts any prime power 2 <= q <= 2^16; rejects everything else.
-    Extension fields carry their log/exp tables.
-    """
+    """F_q with the fixed reduction polynomial for (p, m), for every prime
+    power 2 <= q <= 2^16; rejects everything else."""
     if not isinstance(q, int) or isinstance(q, bool):
         raise TypeError(f"field order must be an integer, got {type(q).__name__}")
     if q > MAX_ORDER:
@@ -259,12 +239,7 @@ def make_field(q: int) -> FieldSpec:
     pp = _prime_power(q)
     if pp is None:
         raise ValueError(f"field order must be a prime power, got {q}")
-    p, m = pp
-    if m == 1:
-        return FieldSpec(q, p, 1, (0, 1))
-    poly = _least_irreducible(p, m)
-    exp, log = _build_log_tables(q, p, m, poly)
-    return FieldSpec(q, p, m, poly, exp, log)
+    return FieldSpec(q, *pp, _least_irreducible(*pp))
 
 
 def entry_dtype(q: int):
@@ -281,8 +256,7 @@ def entry_dtype(q: int):
 @lru_cache(maxsize=None)
 def _dense_tables(f: FieldSpec):
     """(add, sub, mul) tables: a +/- b = sum_k ((a_k +/- b_k) mod p) p^k over
-    the base-p digits a_k, b_k, and a * b = a*b mod q for prime q, else
-    exp[log a + log b]."""
+    the base-p digits a_k, b_k, and a * b = exp[log a + log b]."""
     p, q = f.p, f.q
     d = np.arange(p)
     tables = []
@@ -293,31 +267,15 @@ def _dense_tables(f: FieldSpec):
             n = p**k
             t = (digit[:, None, :, None] * n + t[None, :, None, :]).reshape(p * n, p * n)
         tables.append(t)
-    i = np.arange(q)
-    if f.m == 1:
-        tables.append(i[:, None] * i[None, :] % q)
-    else:
-        tables.append(f.exp_table[f.log_table[:, None] + f.log_table[None, :]])
+    tables.append(f.exp_table[f.log_table[:, None] + f.log_table[None, :]])
     return tuple(t.astype(entry_dtype(q)) for t in tables)
 
 
 @lru_cache(maxsize=None)
 def _inv_table(f: FieldSpec) -> np.ndarray:
-    """inv_table[a] = a^-1 for a != 0; entry 0 is a placeholder."""
-    if f.m > 1:
-        out = np.zeros(f.q, dtype=np.int64)
-        out[1:] = f.exp_table[(f.q - 1) - f.log_table[1:]]
-        return out
-    # Fermat: a^(q-2) by vectorised square-and-multiply
-    out = np.ones(f.q, dtype=np.int64)
-    base = np.arange(f.q, dtype=np.int64)
-    e = f.q - 2
-    while e:
-        if e & 1:
-            out = (out * base) % f.q
-        base = (base * base) % f.q
-        e >>= 1
-    out[0] = 0
+    """inv_table[a] = a^-1 = g^(q - 1 - log a) for a != 0; entry 0 is 0."""
+    out = np.zeros(f.q, dtype=np.int64)
+    out[1:] = f.exp_table[(f.q - 1) - f.log_table[1:]]
     return out
 
 

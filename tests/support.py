@@ -3,10 +3,11 @@
 Everything here deliberately avoids the library's computation paths:
 field arithmetic comes from scalar operations on Python ints, ranks from
 nullspace enumeration or a scalar elimination with those operations,
-probabilities from exact rational arithmetic or second forms of the
-closed-form bounds, simulated draws from one trial at a time, and the
-tiny-instance failure probability from enumerating the full joint (matrix,
-erasure-pattern) space.
+probabilities from exact rational arithmetic, second forms of the
+closed-form bounds or the exact closed form for uniform coefficients,
+simulated draws from one trial at a time, and the tiny-instance failure
+probability from enumerating the full joint (matrix, erasure-pattern)
+space.
 """
 
 import math
@@ -52,12 +53,54 @@ class ScalarOps(NamedTuple):
     inv: Callable[[int], int]
 
 
+def _schoolbook_mul(field: FieldSpec) -> Callable[[int, int], int]:
+    """Product of two extension-field elements as polynomials over F_p,
+    reduced modulo ``field.reduction_polynomial``: shift-and-XOR for p = 2,
+    digit lists otherwise.  Slow, and shares no code with the library."""
+    p, m, poly = field.p, field.m, field.reduction_polynomial
+    if p == 2:
+        red, top = sum(c << k for k, c in enumerate(poly)), 1 << m
+
+        def mul2(a: int, b: int) -> int:
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= red
+            return r
+
+        return mul2
+    weights = [p**k for k in range(m)]
+
+    def mulp(a: int, b: int) -> int:
+        da, prod = [a // w % p for w in weights], [0] * (2 * m - 1)
+        for j, w in enumerate(weights):
+            y = b // w % p
+            if y:
+                for i, x in enumerate(da):
+                    prod[i + j] += x * y
+        # x^k = x^(k - m) x^m, and x^m = -(poly[0] + poly[1] x + ...)
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k] % p
+            if c:
+                for j in range(m):
+                    prod[k - m + j] -= c * poly[j]
+        return sum(c % p * w for c, w in zip(prod, weights))
+
+    return mulp
+
+
 @lru_cache(maxsize=None)
 def scalar_ops(field: FieldSpec) -> ScalarOps:
     """Prime fields reduce mod q.  Extensions add digit-wise,
     sum_k ((a // p^k +/- b // p^k) mod p) p^k, which is XOR for p = 2, and
-    multiply through the field's log/exp tables, whose entries the
-    exhaustive axiom check covers for q <= 256."""
+    multiply through log/exp lists of their own, over the first g >= 2
+    with g^((q - 1)/f) != 1 for every prime f dividing q - 1, its powers
+    walked once with ``_schoolbook_mul``.  Nothing here reads the field's
+    tables."""
     p, q = field.p, field.q
 
     def checked(a: int) -> int:
@@ -68,13 +111,33 @@ def scalar_ops(field: FieldSpec) -> ScalarOps:
     if field.m == 1:
         return ScalarOps(add=lambda a, b: (a + b) % q, sub=lambda a, b: (a - b) % q,
                          mul=lambda a, b: a * b % q, inv=lambda a: pow(checked(a), -1, q))
-    log, exp = field.log_table.tolist(), field.exp_table.tolist()
+    slow_mul, n = _schoolbook_mul(field), q - 1
+
+    def power(a: int, k: int) -> int:
+        r = 1
+        for bit in bin(k)[2:]:
+            r = slow_mul(r, r)
+            if bit == "1":
+                r = slow_mul(r, a)
+        return r
+
+    primes = [f for f in range(2, n + 1)
+              if n % f == 0 and prime_power_by_trial_division(f) == (f, 1)]
+    g = next(g for g in range(2, q) if all(power(g, n // f) != 1 for f in primes))
+    exp = [1]
+    while (e := slow_mul(exp[-1], g)) != 1:
+        exp.append(e)
+    assert len(exp) == n, f"{g} does not generate the nonzero elements of F_{q}"
+    log = [0] * q
+    for k, e in enumerate(exp):
+        log[e] = k
+    exp += exp
 
     def mul(a: int, b: int) -> int:
         return exp[log[a] + log[b]] if a and b else 0
 
     def inv(a: int) -> int:
-        return exp[(q - 1) - log[checked(a)]]
+        return exp[n - log[checked(a)]]
 
     if p == 2:
         return ScalarOps(add=operator.xor, sub=operator.xor, mul=mul, inv=inv)
@@ -221,6 +284,36 @@ def lb_old_binomial_form(params: NetworkParams) -> float:
     e = eps_sr + eps_rd - eps_sr*eps_rd."""
     eff = params.eps_sr + params.eps_rd - params.eps_sr * params.eps_rd
     return sum(binom_pmf(params.n_sources, eff**params.n_relays)[1:])
+
+
+# The exact failure probability at eps_sr = 1/q, where every coefficient
+# is uniform over F_q: r uniform rows have rank N with probability
+# prod_{i<N} (1 - q^(i-r)), which is 0 for r < N (Trullols-Cruces,
+# Barcelo-Ordinas and Fiore, "Exact Decoding Probability Under Random
+# Linear Network Coding", IEEE Commun. Letters 15(1), 2011).  P_fail mixes
+# P(fail | r) over r ~ Binomial(M, 1 - eps_rd).
+
+def uniform_pfail_frac(n: int, m: int, q: int, eps_rd: Fraction) -> Fraction:
+    """The closed form in exact rational arithmetic."""
+    total = Fraction(0)
+    for r in range(n, m + 1):
+        full = Fraction(1)
+        for i in range(n):
+            full *= 1 - Fraction(1, q ** (r - i))
+        total += comb(m, r) * (1 - eps_rd) ** r * eps_rd ** (m - r) * full
+    return 1 - total
+
+
+def uniform_pfail(n: int, m: int, q: int, eps_rd: float) -> float:
+    """The closed form in floats, with P(fail | r) as
+    -expm1(sum_i log1p(-q^(i-r))): the naive 1 - prod loses every digit
+    where P(fail | r) is near the float spacing of 1."""
+    def fail(r: int) -> float:
+        if r < n:
+            return 1.0
+        return -math.expm1(math.fsum(math.log1p(-float(q) ** (i - r)) for i in range(n)))
+
+    return sum(w * fail(r) for r, w in enumerate(binom_pmf(m, 1.0 - eps_rd)))
 
 
 # Per-trial reference for the simulator's draw contract: trial t of seed s

@@ -24,7 +24,10 @@ supports:
   empirical rate would collapse at zero observed failures, which is what
   the fig5 q=4 tail gives (lb_new 4e-6..4e-10, where P(0 failures) is
   0.66..1.00).  The smallest tail over all 129 points is about 0.06
-  (fig2 N=20, eps_sr=0.5, where the bounds pinch at 0.236).
+  (fig2 N=20, eps_sr=0.5, where the bounds pinch at 0.236).  At fig2's
+  eps_sr = 0.5 = 1/q the coefficients are uniform and the exact failure
+  probability has a closed form (``support.uniform_pfail``), so those
+  three counts take the same test against the exact value itself.
 * criterion 7: a larger field never raises the sharpened upper bound, and
   lowers it strictly except where the field-independent column-dependence
   term is the active minimum at every delivered count r >= N for both
@@ -49,7 +52,7 @@ from rlnc_bounds.fields import make_field
 from rlnc_bounds.linalg import rank_batch
 from rlnc_bounds.simulate import exact_pfail
 from support import (binom_ge, binom_le, check_field_axioms, nullspace_rank,
-                     ub_old_binomial_form, ub_old_frac)
+                     ub_old_binomial_form, ub_old_frac, uniform_pfail)
 from test_fields import ALL_PRIME_POWERS_256
 
 SEED = 42
@@ -231,6 +234,23 @@ def test_criterion_6_rejects_a_moved_count():
     assert not _tails_reject(_bound_tails(23_826, TRIALS, bs.lb_new, bs.ub_new))
     assert _tails_reject(_bound_tails(0, TRIALS, bs.lb_new, bs.ub_new))
     assert _tails_reject(_bound_tails(TRIALS, TRIALS, bs.lb_new, bs.ub_new))
+
+
+def test_criterion_6_uniform_coefficients_match_the_closed_form(preset_runs):
+    failures, total = [], 0
+    for p, _, est in preset_runs["fig2"]:
+        if p.eps_sr != 1 / p.q:
+            continue
+        exact = uniform_pfail(p.n_sources, p.n_relays, p.q, p.eps_rd)
+        tails = _bound_tails(est.failures, est.trials, exact, exact)
+        total += 1
+        print(f"    N={p.n_sources} M={p.n_relays}: failures={est.failures}, "
+              f"expected {exact * est.trials:.1f}, smaller tail {min(tails):.3f}")
+        if _tails_reject(tails):
+            failures.append((p.n_sources, p.n_relays, est.failures, exact, tails))
+    assert total == 3
+    _report("criterion 6 (fig2 counts at eps_sr = 1/q consistent with the exact closed form "
+            "by the same binomial test)", failures, total)
 
 
 def test_binomial_tails_match_rational_sums():

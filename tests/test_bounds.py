@@ -7,7 +7,8 @@ from rlnc_bounds.bounds import (NetworkParams, _row_zero_sum_raw,
                                 expected_null_vectors, lb_new, lb_old,
                                 row_zero_sum_prob, ub_new, ub_old,
                                 zero_column_prob)
-from support import lb_old_binomial_form, mu0_frac, ub_old_binomial_form, ub_old_frac
+from support import (lb_old_binomial_form, mu0_frac, ub_old_binomial_form, ub_old_frac,
+                     uniform_pfail)
 
 EPS_GRID = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
 
@@ -253,6 +254,21 @@ def test_sharpened_bounds_bracket_the_classic_ones():
                     p = P(n, n + 3, q, esr, erd)
                     assert lb_new(p) <= ub_new(p) + 1e-12
                     assert ub_new(p) <= min(1.0, ub_old(p)) + 1e-12
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 64, 256, 65536])
+def test_bounds_sandwich_the_uniform_closed_form(q):
+    # at eps_sr = 1/q the exact failure probability has a closed form at
+    # any size, figure sizes included
+    count = 0
+    for n in range(1, 31):
+        for m in sorted({n, n + 1, n + 3, n + 5, 2 * n, 3 * n}):
+            for erd in (0.0, 0.1, 0.3):
+                bs = evaluate_all(P(n, m, q, 1.0 / q, erd))
+                exact = uniform_pfail(n, m, q, erd)
+                assert bs.lb_new - 1e-12 <= exact <= bs.ub_new + 1e-12, (n, m, erd)
+                count += 1
+    assert count == 531
 
 
 def test_lb_new_dominates_the_zero_column_mixture():

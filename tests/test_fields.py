@@ -1,8 +1,10 @@
+import dataclasses
 from time import perf_counter
 
 import numpy as np
 import pytest
 
+from rlnc_bounds import fields
 from rlnc_bounds.bounds import NetworkParams
 from rlnc_bounds.fields import (FieldSpec, _dense_tables, _inv_table, _prime_power, entry_dtype,
                                 make_field)
@@ -88,15 +90,39 @@ def test_largest_supported_extension_field():
     a, b = 12345, 54321
     assert ops.mul(a, ops.inv(a)) == 1
     assert ops.mul(a, b) == ops.mul(b, a)
+    # the library's tables against the oracle's own arithmetic
+    assert f.exp_table[f.log_table[a] + f.log_table[b]] == ops.mul(a, b)
+    assert _inv_table(f)[a] == ops.inv(a)
 
 
-def test_fieldspec_rejects_reducible_polynomial():
+def _no_tables(*args):
+    raise AssertionError("tables built for a rejected field")
+
+
+def test_fieldspec_rejects_reducible_polynomial(monkeypatch):
+    monkeypatch.setattr(fields, "_build_log_tables", _no_tables)
     with pytest.raises(ValueError, match="reducible"):
         FieldSpec(q=4, p=2, m=2, reduction_polynomial=(1, 0, 1))  # (x+1)^2
 
 
+def test_fieldspec_rejects_orders_above_2_16(monkeypatch):
+    # the tables hold at most uint16; the order is checked before anything else
+    monkeypatch.setattr(fields, "_build_log_tables", _no_tables)
+    with pytest.raises(ValueError, match="2\\^16"):
+        FieldSpec(q=2**17, p=2, m=17, reduction_polynomial=(1, 0, 0, 1) + (0,) * 13 + (1,))
+
+
+def test_fieldspec_builds_its_own_tables():
+    init = [f.name for f in dataclasses.fields(FieldSpec) if f.init]
+    assert init == ["q", "p", "m", "reduction_polynomial"]
+    for q, p, m, poly in ((5, 5, 1, (0, 1)), (9, 3, 2, (1, 0, 1))):
+        f, g = FieldSpec(q, p, m, poly), make_field(q)
+        assert f == g
+        assert (f.exp_table == g.exp_table).all() and (f.log_table == g.log_table).all()
+
+
 def test_exp_log_tables_are_consistent():
-    for q in (4, 8, 9, 27, 64, 256, 3125, 65536):
+    for q in (2, 3, 4, 8, 9, 27, 64, 256, 257, 3125, 65521, 65536):
         f = make_field(q)
         for a in range(1, min(q, 300)):
             assert f.exp_table[f.log_table[a]] == a
@@ -107,6 +133,29 @@ def test_exp_log_tables_are_consistent():
         assert f.log_table[0] == 3 * n and len(f.exp_table) == 7 * n
         assert (f.exp_table[:3 * n] == np.tile(f.exp_table[:n], 3)).all()
         assert not f.exp_table[3 * n:].any()
+
+
+def _check_exp_walks_a_generator(q: int):
+    # exp[k + 1] = exp[k] * g under the oracle's own multiplication, and g
+    # = exp[1] has order q - 1: the exp[k] below q - 1 are distinct
+    f = make_field(q)
+    mul, exp = scalar_ops(f).mul, f.exp_table[:q].tolist()
+    g = exp[1]
+    assert exp[0] == 1
+    assert all(exp[k + 1] == mul(exp[k], g) for k in range(q - 1)), q
+    assert len(set(exp[:q - 1])) == q - 1, q
+
+
+def test_exp_table_walks_a_generator_for_every_order_up_to_4096():
+    orders = [q for q in range(2, 4097) if prime_power_by_trial_division(q)]
+    assert len(orders) == 604  # 564 primes and 40 proper powers
+    for q in orders:
+        _check_exp_walks_a_generator(q)
+
+
+@pytest.mark.parametrize("q", [2**16, 3**10, 5**6, 7**5, 65521])
+def test_exp_table_walks_a_generator_at_large_orders(q):
+    _check_exp_walks_a_generator(q)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,19 @@ def test_exact_matches_full_joint_enumeration(n, m, q, esr, erd):
     assert got.p_fail == pytest.approx(float(want), abs=1e-15)
 
 
+@pytest.mark.parametrize("q, shapes", [
+    (2, ((1, 1), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))),
+    (4, ((1, 1), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3))),
+])
+def test_exact_equals_the_uniform_closed_form(q, shapes):
+    # eps_sr = 1/q makes every coefficient uniform; 1/2 and 1/4, and the
+    # erasure rates below, are exact in binary, so the floats are exact
+    for n, m in shapes:
+        for erd in (0.0, 0.25, 0.5):
+            want = support.uniform_pfail_frac(n, m, q, Fraction(erd))
+            assert exact_pfail(P(n, m, q, 1 / q, erd)).p_fail == float(want), (n, m, erd)
+
+
 def test_exact_sits_inside_all_bounds_on_a_small_grid():
     for (n, m) in ((1, 3), (2, 3), (2, 4)):
         for q in (2, 3):
