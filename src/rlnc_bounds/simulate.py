@@ -38,6 +38,11 @@ _ORACLE_CHUNK = 1024
 # flight, and with them peak memory, stay at this many.
 BATCH_TRIALS = 4096
 
+# Most uniforms one simulator batch draws (64 MiB of float64): wide trial
+# windows get fewer trials a batch, so that a batch's memory stays bounded.
+# The figure presets draw at most 1,088 uniforms a trial, so they never reach it.
+_BATCH_UNIFORMS = 2**23
+
 
 class StateSpaceExceeded(ValueError):
     """The exact oracle refuses instances whose configuration space is huge."""
@@ -116,6 +121,7 @@ def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
     m, n = params.n_relays, params.n_sources
     need = m * n + m
     stride = _trial_stride(params)
+    batch_size = min(batch_size, max(1, _BATCH_UNIFORMS // (4 * stride)))
     # as a list, seeds above 2^63 would be rounded through float64
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     failures = 0
@@ -169,10 +175,15 @@ def exact_pfail(params: NetworkParams) -> ExactResult:
     given floats, so the result is exact for the parameters as stored.
     """
     n, m, q = params.n_sources, params.n_relays, params.q
-    state_count = q ** (m * n) * 2**m
-    if state_count > STATE_SPACE_LIMIT:
+    # judged by its logarithm first, so that a refused instance never builds
+    # the integer, which has m*n*log2(q) bits; near the limit, exactly
+    log2_count = m * n * math.log2(q) + m
+    if (log2_count > math.log2(STATE_SPACE_LIMIT) + 1
+            or q ** (m * n) * 2**m > STATE_SPACE_LIMIT):
         raise StateSpaceExceeded(
-            f"state space {state_count} exceeds the oracle guard {STATE_SPACE_LIMIT}")
+            f"state space 2^{log2_count:.2f} exceeds the oracle guard {STATE_SPACE_LIMIT} "
+            f"(2^{math.log2(STATE_SPACE_LIMIT):.2f})")
+    state_count = q ** (m * n) * 2**m
     esr = Fraction(params.eps_sr)
     erd = Fraction(params.eps_rd)
     nonzero_mass = (1 - esr) / (q - 1)

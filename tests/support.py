@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from rlnc_bounds.bounds import NetworkParams, expected_null_vectors
+from rlnc_bounds.bounds import NetworkParams
 from rlnc_bounds.fields import FieldSpec, _dense_tables
 
 
@@ -265,17 +265,15 @@ def binom_ge(k: int, n: int, p: float) -> float:
 # Second forms of the classic bounds, which the library evaluates in
 # closed form only.
 
-def ub_old_binomial_form(params: NetworkParams, nulls=None) -> float:
+def ub_old_binomial_form(params: NetworkParams, nulls) -> float:
     """The classic upper bound regrouped by delivered-row count: the
     expected null-vector count mixed under Binomial(M, 1 - eps_rd).  It
     equals ``ub_old`` by the binomial theorem.
 
-    ``nulls[r]`` is the expected null-vector count at r delivered rows, for
-    example ``evaluate_all(params).tables.expected_null_vectors``; without
-    it, ``expected_null_vectors`` is called once per count."""
+    ``nulls[r]`` is the expected null-vector count at r = 0..M delivered
+    rows, for example ``evaluate_all(params).tables.expected_null_vectors``."""
     pmf = binom_pmf(params.n_relays, 1.0 - params.eps_rd)
-    null = (lambda r: expected_null_vectors(params, r)) if nulls is None else nulls.__getitem__
-    return sum(w * null(r) for r, w in enumerate(pmf) if w > 0.0)
+    return sum(w * nulls[r] for r, w in enumerate(pmf) if w > 0.0)
 
 
 def lb_old_binomial_form(params: NetworkParams) -> float:
@@ -361,6 +359,23 @@ def gamma_frac(q: int, eps_sr: Fraction, w: int) -> Fraction:
 def mu0_frac(n: int, q: int, eps_sr: Fraction, rows: int) -> Fraction:
     return sum(comb(n, w) * (q - 1) ** w * gamma_frac(q, eps_sr, w) ** rows
                for w in range(1, n + 1)) / Fraction(q - 1)
+
+
+def dependence_frac(n: int, beta: Fraction, rows: int) -> Fraction:
+    """Column-dependence bound 1 - prod_{i=1..N} (1 - beta^(rows-i+1)) at
+    ``rows`` delivered rows; 1 for rows < N."""
+    if rows < n:
+        return Fraction(1)
+    prod = Fraction(1)
+    for i in range(1, n + 1):
+        prod *= 1 - beta ** (rows - i + 1)
+    return 1 - prod
+
+
+def zero_column_frac(n: int, eps_sr: Fraction, rows: int) -> Fraction:
+    """Probability 1 - (1 - eps_sr^rows)^N that some source column is
+    all-zero among ``rows`` delivered rows."""
+    return 1 - (1 - eps_sr**rows) ** n
 
 
 def ub_old_frac(n: int, m: int, q: int, eps_sr: Fraction, eps_rd: Fraction) -> Fraction:

@@ -45,8 +45,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from rlnc_bounds.bounds import (NetworkParams, column_dependence_bound, evaluate_all,
-                                expected_null_vectors, lb_new, ub_new, ub_old)
+from rlnc_bounds.bounds import BoundSet, NetworkParams, evaluate_all
 from rlnc_bounds.cli import _EPS_SR_GRID, _PRESETS, _simulate_points, main
 from rlnc_bounds.fields import make_field
 from rlnc_bounds.linalg import rank_batch
@@ -88,7 +87,7 @@ def identity_grid():
                         p = NetworkParams(n, m, q, esr, erd)
                         bs = evaluate_all(p)
                         regrouped = ub_old_binomial_form(p, bs.tables.expected_null_vectors)
-                        rows.append((p, ub_old(p), regrouped, bs.ub_new))
+                        rows.append((p, bs.ub_old_raw, regrouped, bs.ub_new))
     return rows
 
 
@@ -113,8 +112,8 @@ def test_criterion_1_oracle_sandwich():
                 for erd in EPS_GRID:
                     p = NetworkParams(n, m, q, esr, erd)
                     ex = exact_pfail(p).p_fail
-                    lo, hi = lb_new(p), ub_new(p)
-                    cap = min(1.0, ub_old(p))
+                    bs = evaluate_all(p)
+                    lo, hi, cap = bs.lb_new, bs.ub_new, bs.ub_old_clamped
                     total += 1
                     if not (lo - 1e-9 <= ex <= hi + 1e-9 and ex <= cap + 1e-9):
                         failures.append((n, m, q, esr, erd, lo, ex, hi, cap))
@@ -126,11 +125,11 @@ def test_criterion_2_single_source_pinch():
     for m in range(1, 11):
         for esr in EPS_GRID:
             for erd in EPS_GRID:
-                p = NetworkParams(1, m, 2, esr, erd)
+                bs = evaluate_all(NetworkParams(1, m, 2, esr, erd))
                 eff = (esr + erd - esr * erd) ** m
                 total += 1
-                if abs(ub_new(p) - eff) > 1e-12 or abs(lb_new(p) - eff) > 1e-12:
-                    failures.append((m, esr, erd, lb_new(p), ub_new(p), eff))
+                if abs(bs.ub_new - eff) > 1e-12 or abs(bs.lb_new - eff) > 1e-12:
+                    failures.append((m, esr, erd, bs.lb_new, bs.ub_new, eff))
     _report("criterion 2 (single-source bounds pinch the closed form)", failures, total)
 
 
@@ -158,7 +157,8 @@ def test_criterion_4_upper_dominance(identity_grid):
     above_one = []
     for esr in _EPS_SR_GRID:
         p = NetworkParams(30, 35, 2, esr, 0.1)
-        raw, new = ub_old(p), ub_new(p)
+        bs = evaluate_all(p)
+        raw, new = bs.ub_old_raw, bs.ub_new
         exact = ub_old_frac(30, 35, 2, Fraction(str(esr)), Fraction(1, 10))
         total += 1
         if not (new <= 1.0 and new < min(1.0, raw)):
@@ -265,20 +265,21 @@ def test_binomial_tails_match_rational_sums():
                                                           rel=1e-12, abs=0.0)
 
 
-def _dependence_term_ties(p2: NetworkParams, p4: NetworkParams) -> bool:
+def _dependence_term_ties(b2: BoundSet, b4: BoundSet) -> bool:
     """True when the field-independent column-dependence term is the active
     minimum of the upper bound's per-count term at every delivered count
     r >= N for both fields, and both fields share its symbol probability
     beta = max(eps_sr, (1 - eps_sr)/(q - 1)).  Below N every term is 1."""
-    def dependence_active(p):
-        return all(column_dependence_bound(p, r, "max")
-                   <= min(expected_null_vectors(p, r), 1.0)
-                   for r in range(p.n_sources, p.n_relays + 1))
+    def dependence_active(bs):
+        t = bs.tables
+        return all(t.dependence_ub[r] <= min(t.expected_null_vectors[r], 1.0)
+                   for r in range(bs.params.n_sources, bs.params.n_relays + 1))
 
     def beta(p):
         return max(p.eps_sr, (1.0 - p.eps_sr) / (p.q - 1))
 
-    return dependence_active(p2) and dependence_active(p4) and beta(p2) == beta(p4)
+    return (dependence_active(b2) and dependence_active(b4)
+            and beta(b2.params) == beta(b4.params))
 
 
 def test_criterion_7_relay_and_field_trends(preset_runs):
@@ -304,7 +305,7 @@ def test_criterion_7_relay_and_field_trends(preset_runs):
             if b4.ub_new > b2.ub_new + 1e-12:
                 failures.append((name, m2, "larger field raised the upper bound",
                                  b2.ub_new, b4.ub_new))
-            elif _dependence_term_ties(b2.params, b4.params):
+            elif _dependence_term_ties(b2, b4):
                 if b4.ub_new != b2.ub_new:
                     failures.append((name, m2, "column-dependence tie is not exact",
                                      b2.ub_new, b4.ub_new))

@@ -1,20 +1,22 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from rlnc_bounds.bounds import (NetworkParams, _row_zero_sum_raw,
-                                column_dependence_bound, evaluate_all,
-                                expected_null_vectors, lb_new, lb_old,
-                                row_zero_sum_prob, ub_new, ub_old,
-                                zero_column_prob)
-from support import (lb_old_binomial_form, mu0_frac, ub_old_binomial_form, ub_old_frac,
-                     uniform_pfail)
+from rlnc_bounds.bounds import NetworkParams, _row_zero_sum_raw, _weight_terms, evaluate_all
+from support import (dependence_frac, lb_old_binomial_form, mu0_frac, ub_old_binomial_form,
+                     ub_old_frac, uniform_pfail, zero_column_frac)
 
 EPS_GRID = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
 
 
 def P(n, m, q, esr, erd):
     return NetworkParams(n, m, q, esr, erd)
+
+
+def log_gammas(p):
+    """log gamma_w for w = 1..N, as the null-vector series reads it."""
+    return [logv for _, logv in _weight_terms(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -49,18 +51,16 @@ def test_params_reject_non_integer_counts(args):
 def test_weight_one_collapses_to_the_erasure_rate():
     for q in (2, 4, 64):
         for e in EPS_GRID:
-            assert row_zero_sum_prob(P(3, 3, q, e, 0.0), 1) == pytest.approx(e, abs=1e-15)
+            assert log_gammas(P(3, 3, q, e, 0.0))[0] == (math.log(e) if e else -math.inf)
 
 
 def test_all_erased_rows_always_cancel():
     for q in (2, 3, 64):
-        for w in (1, 2, 5):
-            assert row_zero_sum_prob(P(5, 5, q, 1.0, 0.0), w) == 1.0
+        assert log_gammas(P(5, 5, q, 1.0, 0.0)) == [0.0] * 5
 
 
 def test_binary_field_half_erasure_is_uniform():
-    for w in range(1, 8):
-        assert row_zero_sum_prob(P(8, 8, 2, 0.5, 0.0), w) == 0.5
+    assert log_gammas(P(8, 8, 2, 0.5, 0.0)) == [math.log(0.5)] * 8
 
 
 def test_raw_value_stays_in_unit_interval():
@@ -71,13 +71,6 @@ def test_raw_value_stays_in_unit_interval():
                 assert -1e-12 <= raw <= 1 + 1e-12
 
 
-def test_weight_bounds_are_enforced():
-    with pytest.raises(ValueError):
-        row_zero_sum_prob(P(3, 3, 2, 0.1, 0.0), 0)
-    with pytest.raises(ValueError):
-        row_zero_sum_prob(P(3, 3, 2, 0.1, 0.0), 4)
-
-
 # ---------------------------------------------------------------------------
 # expected null-vector count
 
@@ -85,22 +78,23 @@ def test_weight_bounds_are_enforced():
 def test_single_source_collapses_to_erasure_power():
     for rows in range(0, 6):
         for e in (0.0, 0.3, 1.0):
-            got = expected_null_vectors(P(1, 5, 3, e, 0.0), rows)
+            got = evaluate_all(P(1, 5, 3, e, 0.0)).tables.expected_null_vectors[rows]
             assert got == pytest.approx(e**rows, rel=1e-12, abs=1e-300)
 
 
 def test_short_matrices_guarantee_a_null_vector():
     for n in (2, 4, 7):
-        for rows in range(0, n):
-            for q in (2, 4):
-                assert expected_null_vectors(P(n, n, q, 0.3, 0.0), rows) >= 1.0
+        for q in (2, 4):
+            nulls = evaluate_all(P(n, n, q, 0.3, 0.0)).tables.expected_null_vectors
+            for rows in range(0, n):
+                assert nulls[rows] >= 1.0
 
 
 def test_frozen_rational_value():
     # independent rational evaluation gives 5163/15625
     want = mu0_frac(2, 2, Fraction(1, 5), 3)
     assert want == Fraction(5163, 15625)
-    got = expected_null_vectors(P(2, 3, 2, 0.2, 0.0), 3)
+    got = evaluate_all(P(2, 3, 2, 0.2, 0.0)).tables.expected_null_vectors[3]
     assert got == pytest.approx(float(want), rel=1e-12)
 
 
@@ -108,7 +102,7 @@ def test_frozen_rational_value():
                                           (4, 64, 0.1, 4), (6, 3, 0.9, 11)])
 def test_matches_rational_oracle(n, q, esr, rows):
     want = mu0_frac(n, q, Fraction(esr).limit_denominator(10), rows)
-    got = expected_null_vectors(P(n, rows, q, esr, 0.0), rows)
+    got = evaluate_all(P(n, rows, q, esr, 0.0)).tables.expected_null_vectors[rows]
     assert got == pytest.approx(float(want), rel=1e-11)
 
 
@@ -118,14 +112,15 @@ def test_matches_rational_oracle(n, q, esr, rows):
 
 def test_ub_old_reduces_to_null_count_without_relay_erasures():
     for (n, m, q, e) in [(3, 5, 2, 0.4), (4, 6, 64, 0.2), (2, 2, 3, 0.9)]:
-        p = P(n, m, q, e, 0.0)
-        assert ub_old(p) == pytest.approx(expected_null_vectors(p, m), rel=1e-12)
+        bs = evaluate_all(P(n, m, q, e, 0.0))
+        assert bs.ub_old_raw == pytest.approx(bs.tables.expected_null_vectors[m], rel=1e-12)
 
 
 def test_ub_old_saturates_under_total_erasure():
     for p in (P(3, 4, 2, 1.0, 0.2), P(3, 4, 2, 0.2, 1.0)):
-        assert ub_old(p) >= 1.0
-        assert evaluate_all(p).ub_old_clamped == 1.0
+        bs = evaluate_all(p)
+        assert bs.ub_old_raw >= 1.0
+        assert bs.ub_old_clamped == 1.0
 
 
 def test_ub_old_at_the_large_network_point():
@@ -133,11 +128,11 @@ def test_ub_old_at_the_large_network_point():
     # exceeds 1 toward the erasure extremes; the mid-range values sit just
     # below 1 (cross-checked in exact rational arithmetic).
     want = ub_old_frac(30, 35, 2, Fraction(1, 2), Fraction(1, 10))
-    got = ub_old(P(30, 35, 2, 0.5, 0.1))
+    got = evaluate_all(P(30, 35, 2, 0.5, 0.1)).ub_old_raw
     assert got == pytest.approx(float(want), rel=1e-11)
     assert 0.878 < got < 0.879
-    assert ub_old(P(30, 35, 2, 0.1, 0.1)) > 4.2
-    assert ub_old(P(30, 35, 2, 0.9, 0.1)) > 8.7
+    assert evaluate_all(P(30, 35, 2, 0.1, 0.1)).ub_old_raw > 4.2
+    assert evaluate_all(P(30, 35, 2, 0.9, 0.1)).ub_old_raw > 8.7
 
 
 def test_binomial_regrouping_identity_small_grid():
@@ -146,16 +141,19 @@ def test_binomial_regrouping_identity_small_grid():
             for esr in EPS_GRID:
                 for erd in EPS_GRID:
                     p = P(n, n + 4, q, esr, erd)
-                    a, b = ub_old(p), ub_old_binomial_form(p)
-                    assert b == pytest.approx(a, rel=1e-9, abs=1e-300)
+                    bs = evaluate_all(p)
+                    b = ub_old_binomial_form(p, bs.tables.expected_null_vectors)
+                    assert b == pytest.approx(bs.ub_old_raw, rel=1e-9, abs=1e-300)
 
 
 def test_binomial_form_edge_cases():
     p = P(3, 5, 4, 0.3, 0.0)
-    assert ub_old_binomial_form(p) == pytest.approx(expected_null_vectors(p, 5), rel=1e-12)
+    nulls = evaluate_all(p).tables.expected_null_vectors
+    assert ub_old_binomial_form(p, nulls) == pytest.approx(nulls[5], rel=1e-12)
     p1 = P(3, 5, 4, 0.3, 1.0)
     # total relay erasure leaves the projective count (q^N - 1)/(q - 1)
-    assert ub_old_binomial_form(p1) == pytest.approx((4**3 - 1) / 3, rel=1e-12)
+    nulls1 = evaluate_all(p1).tables.expected_null_vectors
+    assert ub_old_binomial_form(p1, nulls1) == pytest.approx((4**3 - 1) / 3, rel=1e-12)
 
 
 def test_lb_old_closed_form_equals_the_binomial_sum():
@@ -166,25 +164,25 @@ def test_lb_old_closed_form_equals_the_binomial_sum():
             for esr in EPS_GRID:
                 for erd in EPS_GRID:
                     p = P(n, m, 2, esr, erd)
-                    assert abs(lb_old(p) - lb_old_binomial_form(p)) <= 1e-12, p
+                    assert abs(evaluate_all(p).lb_old - lb_old_binomial_form(p)) <= 1e-12, p
 
 
 def test_lb_old_single_source():
-    assert lb_old(P(1, 4, 2, 0.5, 0.5)) == pytest.approx(0.75**4, rel=1e-12)
+    assert evaluate_all(P(1, 4, 2, 0.5, 0.5)).lb_old == pytest.approx(0.75**4, rel=1e-12)
 
 
 def test_lb_old_no_erasures_is_zero():
-    assert lb_old(P(5, 7, 2, 0.0, 0.0)) == 0.0
+    assert evaluate_all(P(5, 7, 2, 0.0, 0.0)).lb_old == 0.0
 
 
 def test_lb_old_closed_form_example():
-    got = lb_old(P(10, 12, 2, 0.7, 0.2))
+    got = evaluate_all(P(10, 12, 2, 0.7, 0.2)).lb_old
     assert got == pytest.approx(1.0 - (1.0 - 0.76**12) ** 10, rel=1e-12)
 
 
 def test_lb_old_ignores_field_size():
-    a = lb_old(P(6, 9, 2, 0.35, 0.15))
-    b = lb_old(P(6, 9, 64, 0.35, 0.15))
+    a = evaluate_all(P(6, 9, 2, 0.35, 0.15)).lb_old
+    b = evaluate_all(P(6, 9, 64, 0.35, 0.15)).lb_old
     assert a == b
 
 
@@ -194,33 +192,30 @@ def test_lb_old_ignores_field_size():
 
 def test_dependence_bound_degenerate_binary_field():
     # without erasures every binary coefficient is 1: rows are identical
+    dep_ub = evaluate_all(P(3, 9, 2, 0.0, 0.0)).tables.dependence_ub
     for rows in (0, 1, 5, 9):
-        assert column_dependence_bound(P(3, 9, 2, 0.0, 0.0), rows, "max") == 1.0
+        assert dep_ub[rows] == 1.0
 
 
 def test_dependence_bound_is_one_below_source_count():
-    for which in ("max", "min"):
+    t = evaluate_all(P(4, 8, 4, 0.3, 0.0)).tables
+    for dep in (t.dependence_ub, t.dependence_lb):
         for rows in range(0, 4):
-            assert column_dependence_bound(P(4, 8, 4, 0.3, 0.0), rows, which) == 1.0
+            assert dep[rows] == 1.0
 
 
 def test_dependence_bound_single_source():
-    p = P(1, 6, 4, 0.3, 0.0)
+    t = evaluate_all(P(1, 6, 4, 0.3, 0.0)).tables
     for rows in (1, 3, 6):
-        assert column_dependence_bound(p, rows, "max") == pytest.approx(0.3**rows, rel=1e-12)
-        assert column_dependence_bound(p, rows, "min") == pytest.approx((0.7 / 3) ** rows, rel=1e-12)
-
-
-def test_dependence_bound_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        column_dependence_bound(P(2, 2, 2, 0.1, 0.0), 2, "median")
+        assert t.dependence_ub[rows] == pytest.approx(0.3**rows, rel=1e-12)
+        assert t.dependence_lb[rows] == pytest.approx((0.7 / 3) ** rows, rel=1e-12)
 
 
 def test_zero_column_prob_edges():
-    p = P(4, 6, 4, 0.3, 0.0)
-    assert zero_column_prob(p, 0) == 1.0
-    assert zero_column_prob(P(1, 6, 4, 0.3, 0.0), 5) == pytest.approx(0.3**5, rel=1e-12)
-    assert zero_column_prob(P(4, 6, 4, 0.0, 0.0), 3) == 0.0
+    assert evaluate_all(P(4, 6, 4, 0.3, 0.0)).tables.zero_column_prob[0] == 1.0
+    got = evaluate_all(P(1, 6, 4, 0.3, 0.0)).tables.zero_column_prob[5]
+    assert got == pytest.approx(0.3**5, rel=1e-12)
+    assert evaluate_all(P(4, 6, 4, 0.0, 0.0)).tables.zero_column_prob[3] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +226,19 @@ def test_single_source_pinch():
     for m in range(1, 11):
         for esr in EPS_GRID:
             for erd in EPS_GRID:
-                p = P(1, m, 2, esr, erd)
+                bs = evaluate_all(P(1, m, 2, esr, erd))
                 eff = esr + erd - esr * erd
-                assert ub_new(p) == pytest.approx(eff**m, abs=1e-12)
-                assert lb_new(p) == pytest.approx(eff**m, abs=1e-12)
+                assert bs.ub_new == pytest.approx(eff**m, abs=1e-12)
+                assert bs.lb_new == pytest.approx(eff**m, abs=1e-12)
 
 
 def test_total_source_erasure_fails_certainly():
-    assert ub_new(P(3, 5, 4, 1.0, 0.0)) == 1.0
-    assert lb_new(P(3, 5, 4, 1.0, 0.2)) == 1.0
+    assert evaluate_all(P(3, 5, 4, 1.0, 0.0)).ub_new == 1.0
+    assert evaluate_all(P(3, 5, 4, 1.0, 0.2)).lb_new == 1.0
 
 
 def test_perfect_channels_large_field_lower_bound_vanishes():
-    assert lb_new(P(2, 4, 4, 0.0, 0.0)) == 0.0
+    assert evaluate_all(P(2, 4, 4, 0.0, 0.0)).lb_new == 0.0
 
 
 def test_sharpened_bounds_bracket_the_classic_ones():
@@ -251,9 +246,9 @@ def test_sharpened_bounds_bracket_the_classic_ones():
         for q in (2, 4, 64):
             for esr in EPS_GRID:
                 for erd in (0.0, 0.1, 0.5, 1.0):
-                    p = P(n, n + 3, q, esr, erd)
-                    assert lb_new(p) <= ub_new(p) + 1e-12
-                    assert ub_new(p) <= min(1.0, ub_old(p)) + 1e-12
+                    bs = evaluate_all(P(n, n + 3, q, esr, erd))
+                    assert bs.lb_new <= bs.ub_new + 1e-12
+                    assert bs.ub_new <= min(1.0, bs.ub_old_raw) + 1e-12
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 64, 256, 65536])
@@ -276,10 +271,9 @@ def test_lb_new_dominates_the_zero_column_mixture():
         for q in (2, 4):
             for esr in EPS_GRID:
                 for erd in (0.0, 0.1, 0.5, 1.0):
-                    p = P(n, n + 4, q, esr, erd)
-                    bs = evaluate_all(p)
-                    pmf = bs.tables.delivery_pmf
-                    mixture = sum(w * zero_column_prob(p, r) for r, w in enumerate(pmf))
+                    bs = evaluate_all(P(n, n + 4, q, esr, erd))
+                    t = bs.tables
+                    mixture = sum(w * z for w, z in zip(t.delivery_pmf, t.zero_column_prob))
                     assert bs.lb_new >= mixture - 1e-12
 
 
@@ -287,8 +281,8 @@ def test_bounds_nonincreasing_in_relay_count():
     for q in (2, 4):
         prev_ub, prev_lb = 1.0, 1.0
         for m in range(10, 26):
-            p = P(10, m, q, 0.3, 0.1)
-            u, low = ub_new(p), lb_new(p)
+            bs = evaluate_all(P(10, m, q, 0.3, 0.1))
+            u, low = bs.ub_new, bs.lb_new
             assert u <= prev_ub + 1e-12
             assert low <= prev_lb + 1e-12
             prev_ub, prev_lb = u, low
@@ -299,42 +293,59 @@ def test_bounds_nonincreasing_in_relay_count():
 
 
 def test_evaluate_all_is_consistent_with_parts():
+    # the scalar fields against rational forms and against the mixture of
+    # the evaluator's own tables
     p = P(4, 7, 4, 0.35, 0.15)
     bs = evaluate_all(p)
-    assert bs.mu0 == pytest.approx(expected_null_vectors(p, 7), rel=1e-12)
-    assert bs.lb_old == pytest.approx(lb_old(p), rel=1e-12)
-    assert bs.lb_new == pytest.approx(lb_new(p), rel=1e-12)
-    assert bs.ub_new == pytest.approx(ub_new(p), rel=1e-12)
-    assert bs.ub_old_raw == pytest.approx(ub_old(p), rel=1e-12)
+    t = bs.tables
+    esr, erd = Fraction(0.35), Fraction(0.15)
+    assert bs.mu0 == pytest.approx(float(mu0_frac(4, 4, esr, 7)), rel=1e-12)
+    assert bs.lb_old == pytest.approx(lb_old_binomial_form(p), rel=1e-12)
+    low = sum(w * max(d, z) for w, d, z in zip(t.delivery_pmf, t.dependence_lb,
+                                                t.zero_column_prob))
+    up = sum(w * min(d, v, 1.0) for w, d, v in zip(t.delivery_pmf, t.dependence_ub,
+                                                     t.expected_null_vectors))
+    assert bs.lb_new == pytest.approx(low, rel=1e-12)
+    assert bs.ub_new == pytest.approx(up, rel=1e-12)
+    assert bs.ub_old_raw == pytest.approx(float(ub_old_frac(4, 7, 4, esr, erd)), rel=1e-12)
     assert bs.ub_old_clamped == min(1.0, bs.ub_old_raw)
 
 
 def test_evaluate_all_fills_the_per_delivery_tables():
-    p = P(3, 5, 2, 0.4, 0.3)
-    bs = evaluate_all(p)
+    bs = evaluate_all(P(3, 5, 2, 0.4, 0.3))
     t = bs.tables
     assert len(t.delivery_pmf) == 6
     assert sum(t.delivery_pmf) == pytest.approx(1.0, rel=1e-12)
     assert t.dependence_ub[0] == 1.0 and t.zero_column_prob[0] == 1.0
-    assert t.expected_null_vectors[5] == pytest.approx(expected_null_vectors(p, 5), rel=1e-12)
+    want = float(mu0_frac(3, 2, Fraction(0.4), 5))
+    assert t.expected_null_vectors[5] == pytest.approx(want, rel=1e-12)
     for r in range(6):
         assert t.dependence_lb[r] <= t.dependence_ub[r] + 1e-12
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 64, 2**31 - 1])
 def test_per_delivery_tables_equal_the_per_count_functions(q):
-    # exact equality: the tables hoist r-independent terms out of the loops
-    # and must not move a bit.  q = 2 with eps_sr = 0 has gamma_w = 0 for odd
-    # w; eps_sr = 1 has beta = 1.
+    # every table entry against its per-count form in exact rational
+    # arithmetic.  q = 2 with eps_sr = 0 has gamma_w = 0 for odd w; eps_sr = 1
+    # has beta = 1.
+    count = 0
     for n, m in ((1, 3), (3, 2), (4, 9), (12, 20)):
         for esr in (0.0, 0.3, 1.0 / q, 0.8, 1.0):
+            e = Fraction(esr)
+            spread = (1 - e) / (q - 1)
+            forms = {"expected_null_vectors": lambda r: mu0_frac(n, q, e, r),
+                     "dependence_ub": lambda r: dependence_frac(n, max(e, spread), r),
+                     "dependence_lb": lambda r: dependence_frac(n, min(e, spread), r),
+                     "zero_column_prob": lambda r: zero_column_frac(n, e, r)}
+            want = {name: [float(form(r)) for r in range(m + 1)]
+                    for name, form in forms.items()}
             for erd in (0.0, 0.2, 1.0):
-                p = P(n, m, q, esr, erd)
-                bs = evaluate_all(p)
-                t = bs.tables
-                for r in range(m + 1):
-                    assert t.expected_null_vectors[r] == expected_null_vectors(p, r)
-                    assert t.dependence_ub[r] == column_dependence_bound(p, r, "max")
-                    assert t.dependence_lb[r] == column_dependence_bound(p, r, "min")
-                    assert t.zero_column_prob[r] == zero_column_prob(p, r)
-                assert bs.mu0 == expected_null_vectors(p, m)
+                bs = evaluate_all(P(n, m, q, esr, erd))
+                for name, values in want.items():
+                    got = getattr(bs.tables, name)
+                    assert len(got) == m + 1
+                    for r, (g, w) in enumerate(zip(got, values)):
+                        assert g == pytest.approx(w, rel=1e-11, abs=1e-300), (name, n, m, esr, r)
+                        count += 1
+                assert bs.mu0 == bs.tables.expected_null_vectors[m]
+    assert count == 11_400 // 5

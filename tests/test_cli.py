@@ -5,6 +5,7 @@ import io
 import re
 import sys
 import threading
+import time
 import unittest
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -326,6 +327,20 @@ def test_exact_guard_exit_code():
                            "--field", "64", "--eps-sr", "0.2", "--eps-rd", "0.1")
     assert code == 3
     assert "state space" in err
+
+
+@pytest.mark.parametrize("size", [120, 30000])
+def test_exact_guard_refuses_huge_instances_in_one_short_line(size):
+    # q^(M*N) * 2^M has 14,520 bits at 120 and 9*10^8 at 30000: the guard
+    # must neither print nor build it
+    start = time.perf_counter()
+    code, out, err = run_cli("exact", "--sources", str(size), "--relays", str(size),
+                             "--field", "2", "--eps-sr", "0.3", "--eps-rd", "0.1")
+    elapsed = time.perf_counter() - start
+    assert code == 3 and out == ""
+    assert err.startswith("error: state space 2^") and err.count("\n") == 1
+    assert len(err) < 200, err
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

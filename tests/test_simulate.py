@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from rlnc_bounds.bounds import NetworkParams, lb_new, lb_old, ub_new, ub_old
+from rlnc_bounds.bounds import NetworkParams, evaluate_all
 from rlnc_bounds.fields import entry_dtype, make_field
 from rlnc_bounds import simulate
 from rlnc_bounds.simulate import StateSpaceExceeded, estimate_pfail, exact_pfail
@@ -169,8 +169,9 @@ def test_exact_sits_inside_all_bounds_on_a_small_grid():
                 for erd in (0.0, 0.5):
                     p = P(n, m, q, esr, erd)
                     ex = exact_pfail(p).p_fail
-                    assert lb_new(p) - 1e-9 <= ex <= ub_new(p) + 1e-9
-                    assert lb_old(p) - 1e-9 <= ex <= min(1.0, ub_old(p)) + 1e-9
+                    bs = evaluate_all(p)
+                    assert bs.lb_new - 1e-9 <= ex <= bs.ub_new + 1e-9
+                    assert bs.lb_old - 1e-9 <= ex <= min(1.0, bs.ub_old_raw) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,26 @@ def test_batch_partitioning_does_not_change_the_estimate():
     b = estimate_pfail(p, trials=3000, seed=5, batch_size=7)
     c = estimate_pfail(p, trials=3000, seed=5, batch_size=1000)
     assert a == b == c
+
+
+def test_the_uniforms_cap_bounds_every_draw_and_keeps_the_counts(monkeypatch):
+    p = P(3, 6, 4, 0.5, 0.3)  # 24 uniforms a trial
+    want = estimate_pfail(p, trials=3000, seed=5)
+    draws = []
+    real = np.random.Generator
+
+    class Spy:
+        def __init__(self, bit_generator):
+            self._gen = real(bit_generator)
+
+        def random(self, size):
+            draws.append(size)
+            return self._gen.random(size)
+
+    monkeypatch.setattr(simulate, "_BATCH_UNIFORMS", 5 * 24 + 3)
+    monkeypatch.setattr(np.random, "Generator", Spy)
+    assert estimate_pfail(p, trials=3000, seed=5) == want
+    assert max(draws) == 5 * 24 and sum(draws) == 3000 * 24
 
 
 def test_batched_estimator_equals_per_trial_sampling():
