@@ -3,11 +3,13 @@ Monte Carlo simulation and exact-oracle runs, all emitting one CSV schema.
 
 A sweep simulates its points concurrently, one thread per usable core and at
 most four; the bounds and the exact oracle run serially in the calling
-thread.
-The worker count comes from the machine, not from an option, and cannot
-change a byte of the output: every trial reads its own window of the seeded
-Philox stream (see :mod:`rlnc_bounds.simulate`), and rows are written in
-point order.
+thread.  Points with the same (N, M) form a group that shares its Philox
+draws (:class:`rlnc_bounds.simulate.TrialDraws`), and the points are
+submitted group by group, so that few groups' draws are held at once.
+The worker count comes from the machine, not from an option, and neither it
+nor the grouping can change a byte of the output: every trial reads its own
+window of the seeded Philox stream (see :mod:`rlnc_bounds.simulate`), and
+rows are written in point order.
 
 Exit codes: 0 success, 2 argument/domain error, 3 oracle guard violation.
 """
@@ -22,8 +24,8 @@ import sys
 
 from .bounds import NetworkParams, evaluate_all
 from .fields import MAX_ORDER
-from .simulate import (BATCH_TRIALS, SimEstimate, StateSpaceExceeded, check_seed,
-                       estimate_pfail, exact_pfail)
+from .simulate import (BATCH_TRIALS, SimEstimate, StateSpaceExceeded, TrialDraws,
+                       check_seed, estimate_pfail, exact_pfail)
 
 COLUMNS = ["n", "m", "q", "eps_sr", "eps_rd", "mu0", "lb_old", "lb_new",
            "sim_estimate", "sim_ci_low", "sim_ci_high", "ub_new",
@@ -106,8 +108,8 @@ def _usable_cores() -> int:
 
 
 def _simulate_points(points, trials: int, seed: int) -> list[SimEstimate]:
-    """Simulate every point on a thread pool; return the estimates in point
-    order.
+    """Simulate every point on a thread pool, one task a point, submitted
+    group by group of equal (N, M); return the estimates in point order.
 
     numpy releases the interpreter lock in the simulator's draws and rank
     updates, so the threads overlap.  The first error ends the run: points
@@ -119,10 +121,17 @@ def _simulate_points(points, trials: int, seed: int) -> list[SimEstimate]:
 
     workers = min(_usable_cores(), BATCH_TRIALS // _MIN_BATCH)
     batch = BATCH_TRIALS // workers
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(points):
+        groups.setdefault((p.n_sources, p.n_relays), []).append(i)
+    futures = [None] * len(points)
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        # through the module global, which the benchmark's tracer patches
-        futures = [pool.submit(estimate_pfail, p, trials, seed, batch) for p in points]
+        for (n, m), members in groups.items():
+            draws = TrialDraws(n, m, trials, seed, batch, readers=len(members))
+            for i in members:
+                # through the module global, which the benchmark's tracer patches
+                futures[i] = pool.submit(estimate_pfail, points[i], trials, seed, batch, draws)
         return [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)

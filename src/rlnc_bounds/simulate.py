@@ -11,11 +11,18 @@ Philox key is ``[seed, 0]`` as uint64 and S = ceil((M*N + M) / 4), since
 each counter block yields four doubles.  ``tests/support.py`` replays this
 contract one trial at a time, as the reference the batched estimator must
 match.
+
+Since a trial's window depends only on (N, M) and the seed, the points of a
+sweep that share (N, M) read the same uniforms.  A :class:`TrialDraws` holds
+one such group: each batch is drawn once and its delivery mask computed once
+per eps_rd, and every point of the group maps its own coefficients from them.
+The contract above is unchanged, so sharing cannot move a failure count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +48,7 @@ BATCH_TRIALS = 4096
 # Most uniforms one simulator batch draws (64 MiB of float64): wide trial
 # windows get fewer trials a batch, so that a batch's memory stays bounded.
 # The figure presets draw at most 1,088 uniforms a trial, so they never reach it.
+# It also bounds what a TrialDraws group keeps for its later points.
 _BATCH_UNIFORMS = 2**23
 
 
@@ -74,7 +82,10 @@ def _coefficients_from_uniform(u: np.ndarray, eps_sr: float, q: int) -> np.ndarr
     """Map uniforms to coding coefficients: zero below eps_sr, otherwise
     min(q - 1, 1 + trunc((u - eps_sr) * ((q - 1) / (1 - eps_sr)))), in that
     operation order, so that it matches the scalar reference in
-    ``tests/support.py`` bit for bit."""
+    ``tests/support.py`` bit for bit.
+
+    ``u`` is only read: it is shared by every point of a :class:`TrialDraws`
+    group, which map it with their own eps_sr and q."""
     if eps_sr >= 1.0:
         return np.zeros(u.shape, dtype=entry_dtype(q))
     if q == 2:
@@ -90,50 +101,107 @@ def _coefficients_from_uniform(u: np.ndarray, eps_sr: float, q: int) -> np.ndarr
     return out
 
 
-def _trial_stride(params: NetworkParams) -> int:
-    # counter blocks per trial window; each block yields 4 doubles
-    need = params.n_relays * params.n_sources + params.n_relays
-    return -(-need // 4)
-
-
 def check_seed(seed: int) -> None:
     """Raise ValueError unless ``seed`` is a valid master seed, 0 <= seed < 2^64."""
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
 
 
+class TrialDraws:
+    """The Philox uniforms of one (N, M, trials, seed, batch size) group of
+    points, shared by the group's ``readers`` points.
+
+    A batch is drawn on its first read, from a Philox advanced to the batch's
+    first counter block, and its delivery mask is computed once per eps_rd;
+    both are dropped from the group once all ``readers`` points have read
+    them.  Only the batches that lie within the first BATCH_TRIALS trials and
+    within _BATCH_UNIFORMS uniforms are shared; each read of a later batch
+    draws it afresh.  Reads may come from several threads at once.
+    """
+
+    def __init__(self, n_sources: int, n_relays: int, trials: int, seed: int = 0,
+                 batch_size: int = BATCH_TRIALS, readers: int = 1):
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        check_seed(seed)
+        self.key = (n_sources, n_relays, trials, seed, batch_size)
+        self._stride = -(-(n_relays * n_sources + n_relays) // 4)
+        # applied here, not per point, so that every reader sees the same batches
+        self.batch = min(batch_size, max(1, _BATCH_UNIFORMS // (4 * self._stride)))
+        self._shared_trials = min(BATCH_TRIALS, _BATCH_UNIFORMS // (4 * self._stride))
+        self._readers = readers
+        self._lock = threading.Lock()
+        self._open: dict[int, _Batch] = {}  # start -> batch not yet read by all readers
+
+    def read(self, start: int, eps_rd: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return the uniforms of the batch whose first trial is ``start``,
+        as (trials, 4 * stride), with its delivery mask ``keep`` (trials, M)
+        and ``viable``, the trials that delivered at least N rows."""
+        n, m, trials, seed, _ = self.key
+        b = min(self.batch, trials - start)
+        shared = start + b <= self._shared_trials
+        with self._lock:
+            entry = self._open.get(start)
+            if entry is None:
+                entry = self._open[start] = _Batch(self._readers if shared else 1)
+            entry.unread -= 1
+            if not entry.unread:
+                del self._open[start]
+        with entry.lock:
+            if entry.u is None:
+                # as a list, seeds above 2^63 would be rounded through float64
+                philox = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+                philox.advance(start * self._stride)
+                # whole trial windows: 4 doubles a counter block
+                entry.u = np.random.Generator(philox).random(b * self._stride * 4).reshape(
+                    b, self._stride * 4)
+            masks = entry.masks.get(eps_rd)
+            if masks is None:
+                keep = entry.u[:, m * n:m * n + m] < (1.0 - eps_rd)
+                masks = entry.masks[eps_rd] = (keep, keep.sum(axis=1) >= n)
+        return (entry.u, *masks)
+
+
+class _Batch:
+    """One batch of a TrialDraws group and the reads it still awaits."""
+
+    def __init__(self, unread: int):
+        self.unread = unread
+        self.lock = threading.Lock()
+        self.u = None
+        self.masks: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
-                   batch_size: int = BATCH_TRIALS) -> SimEstimate:
+                   batch_size: int = BATCH_TRIALS, draws: TrialDraws | None = None
+                   ) -> SimEstimate:
     """Estimate the failure probability from ``trials`` independent draws.
 
     Deterministic for fixed (params, trials, seed) regardless of
     ``batch_size``: each trial consumes exactly the uniforms of its own
     substream.  All M relays draw their N coefficients (a relay that heard
     nothing still sends an all-zero row), then each row survives the
-    relay-to-destination link with probability 1 - eps_rd.
+    relay-to-destination link with probability 1 - eps_rd.  ``draws``, a
+    group built for this (N, M, trials, seed, batch_size), lets the points
+    of a sweep share their uniforms; without it the point draws its own.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    check_seed(seed)
-    f = make_field(params.q)
     m, n = params.n_relays, params.n_sources
-    need = m * n + m
-    stride = _trial_stride(params)
-    batch_size = min(batch_size, max(1, _BATCH_UNIFORMS // (4 * stride)))
-    # as a list, seeds above 2^63 would be rounded through float64
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    if draws is None:
+        draws = TrialDraws(n, m, trials, seed, batch_size)
+    elif draws.key != (n, m, trials, seed, batch_size):
+        raise ValueError(f"draws made for (N, M, trials, seed, batch_size) = {draws.key}, "
+                         f"not {(n, m, trials, seed, batch_size)}")
+    f = make_field(params.q)
     failures = 0
-    for start in range(0, trials, batch_size):
-        b = min(batch_size, trials - start)
-        # whole trial windows, so the next batch starts at block (start + b) * stride
-        u = gen.random(b * stride * 4).reshape(b, stride * 4)
+    for start in range(0, trials, draws.batch):
+        u, keep, viable = draws.read(start, params.eps_rd)
+        b = len(u)
         coeffs = _coefficients_from_uniform(u[:, :m * n], params.eps_sr, params.q)
+        del u  # so that the group's last reader frees the batch before ranking it
         coeffs = coeffs.reshape(b, m, n)
-        keep = u[:, m * n:need] < (1.0 - params.eps_rd)
         coeffs *= keep[:, :, None].astype(coeffs.dtype)
-        viable = keep.sum(axis=1) >= n
         failures += int(b - viable.sum())
         if viable.any():
             ranks = rank_batch(f, coeffs[viable], target=n)

@@ -210,17 +210,53 @@ def test_sweep_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     # 5000 trials span several batches at every worker count (4096 trials a
     # batch with one worker, 1024 with four)
     outs = []
-    for cores in (1, 4):
+    for cores in (1, 2, 4):
         monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
         code, out, _ = run_cli(*FIG3_SIM)
         assert code == 0
         outs.append(out)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
     _, rows = parse(outs[0])
     assert len(rows) == len(FIG3_POINTS) == 18
     for row, p in zip(rows, FIG3_POINTS):
         serial = simulate.estimate_pfail(p, 5000, 9)
         assert round(float(dict(zip(COLUMNS, row))["sim_estimate"]) * 5000) == serial.failures
+
+
+# one (N, M) group that mixes every per-point parameter, with a point of
+# another size among them; 5000 trials reach past the BATCH_TRIALS a group
+# shares into batches drawn for each point
+SAME_SIZE = [NetworkParams(3, 5, q, esr, erd) for q in (2, 3, 4, 256)
+             for esr in (0.0, 0.3, 1.0) for erd in (0.1, 0.4)]
+MIXED_POINTS = SAME_SIZE[:12] + [NetworkParams(2, 4, 3, 0.3, 0.25)] + SAME_SIZE[12:]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_shared_draws_keep_every_estimate(monkeypatch, seed):
+    want = [simulate.estimate_pfail(p, 5000, seed) for p in MIXED_POINTS]
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        assert cli._simulate_points(MIXED_POINTS, 5000, seed) == want, cores
+
+
+def test_each_group_draws_once_and_is_submitted_in_one_run(monkeypatch, draw_sizes):
+    # one batch a group, not one a point; a group's points are submitted one
+    # after another, which bounds how many groups' draws are held at once
+    submitted = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, p, *args):
+            submitted.append((p.n_sources, p.n_relays))
+            return super().submit(fn, p, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    for preset, points, groups in (("fig4", 42, 21), ("fig3", 18, 1)):
+        draw_sizes.clear()
+        submitted.clear()
+        assert run_cli("sweep", "--preset", preset, "--trials", "1000")[0] == 0
+        assert len(draw_sizes) == groups, preset
+        runs = [k for i, k in enumerate(submitted) if i == 0 or k != submitted[i - 1]]
+        assert len(submitted) == points and len(runs) == len(set(runs)) == groups, preset
 
 
 def test_every_point_is_simulated_once_through_the_cli_global(monkeypatch):

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -50,9 +52,12 @@ def test_coefficient_mapping_matches_its_scalar_twin(q):
         edges = [0.0, eps, np.nextafter(eps, -1.0), np.nextafter(eps, 1.0),
                  np.nextafter(1.0, 0.0)]
         u = np.concatenate([edges, philox])
+        before = u.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = simulate._coefficients_from_uniform(u, eps, q)
+        # the points of a group map the same uniforms, so none may write them
+        assert np.array_equal(u, before)
         assert got.dtype == entry_dtype(q)
         want = [support._coefficient_from_uniform(x, eps, q) for x in u.tolist()]
         assert got.tolist() == want, eps
@@ -219,24 +224,57 @@ def test_batch_partitioning_does_not_change_the_estimate():
     assert a == b == c
 
 
-def test_the_uniforms_cap_bounds_every_draw_and_keeps_the_counts(monkeypatch):
+def test_the_uniforms_cap_bounds_every_draw_and_keeps_the_counts(monkeypatch, draw_sizes):
     p = P(3, 6, 4, 0.5, 0.3)  # 24 uniforms a trial
     want = estimate_pfail(p, trials=3000, seed=5)
-    draws = []
-    real = np.random.Generator
-
-    class Spy:
-        def __init__(self, bit_generator):
-            self._gen = real(bit_generator)
-
-        def random(self, size):
-            draws.append(size)
-            return self._gen.random(size)
-
+    draw_sizes.clear()
     monkeypatch.setattr(simulate, "_BATCH_UNIFORMS", 5 * 24 + 3)
-    monkeypatch.setattr(np.random, "Generator", Spy)
     assert estimate_pfail(p, trials=3000, seed=5) == want
-    assert max(draws) == 5 * 24 and sum(draws) == 3000 * 24
+    assert max(draw_sizes) == 5 * 24 and sum(draw_sizes) == 3000 * 24
+
+
+def test_a_group_shares_the_batches_of_its_first_batch_trials_only(draw_sizes):
+    # 5000 trials in 1024-trial batches of 24 uniforms a trial: the four
+    # batches within BATCH_TRIALS are drawn once for both points, the last
+    # one once for each
+    points = (P(3, 6, 4, 0.5, 0.3), P(3, 6, 2, 0.2, 0.1))
+    want = [estimate_pfail(p, 5000, 5, 1024) for p in points]
+    draw_sizes.clear()
+    draws = simulate.TrialDraws(3, 6, 5000, 5, 1024, readers=2)
+    assert [estimate_pfail(p, 5000, 5, 1024, draws) for p in points] == want
+    assert draw_sizes == [1024 * 24] * 4 + [904 * 24] * 2
+    assert not draws._open  # every batch is dropped once both points read it
+
+
+def test_many_threads_reading_one_group_draw_each_batch_once(draw_sizes):
+    # eight readers on threads that switch every microsecond: a lost update
+    # of the group's bookkeeping would draw a batch twice, leave one open or
+    # hand a point another batch's uniforms
+    points = [P(3, 6, q, esr, erd) for q in (2, 4) for esr in (0.2, 0.6)
+              for erd in (0.1, 0.3)]
+    want = [estimate_pfail(p, 3000, 7, 256) for p in points]
+    draw_sizes.clear()
+    draws = simulate.TrialDraws(3, 6, 3000, 7, 256, readers=len(points))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(points)) as pool:
+            futures = [pool.submit(estimate_pfail, p, 3000, 7, 256, draws) for p in points]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert sorted(draw_sizes) == [184 * 24] + [256 * 24] * 11
+    assert not draws._open
+
+
+@pytest.mark.parametrize("key", [(3, 6, 600, 5, 256), (3, 5, 601, 5, 256),
+                                 (3, 5, 600, 6, 256), (3, 5, 600, 5, 255)],
+                         ids=["size", "trials", "seed", "batch"])
+def test_draws_made_for_another_group_are_refused(key):
+    draws = simulate.TrialDraws(*key)
+    with pytest.raises(ValueError, match="draws made for"):
+        estimate_pfail(P(3, 5, 4, 0.3, 0.2), 600, 5, 256, draws)
 
 
 def test_batched_estimator_equals_per_trial_sampling():
