@@ -64,7 +64,7 @@ class DomainError(ValueError):
 
 
 def _checked_params(**kw) -> NetworkParams:
-    # first, so that a huge q is reported as out of range, not factored
+    # first, so that the error for a huge q names the limit
     if kw["q"] > MAX_ORDER:
         raise DomainError(f"field order must be at most {MAX_ORDER}, got {kw['q']}")
     try:

@@ -103,12 +103,10 @@ def _poly_rem(num, den, p: int) -> tuple[int, ...]:
     return tuple(num[:d]) if d > 0 else ()
 
 
-@lru_cache(maxsize=None)
 def _is_irreducible(poly, p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(poly)/2."""
+    """Trial division of a monic polynomial of degree m >= 1 by every monic
+    polynomial of degree <= m/2."""
     m = len(poly) - 1
-    if m < 1 or poly[-1] != 1:
-        return False
     if poly[0] == 0:  # divisible by x
         return m == 1
     for d in range(1, m // 2 + 1):
@@ -193,39 +191,38 @@ def _build_log_tables(q: int, p: int, m: int, poly):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Immutable, validated description of F_q and its tables.
+    """Immutable, validated description of F_q and its tables, built from q.
 
     q = p^m <= 2^16 with p prime, as the tables hold at most uint16.
-    ``reduction_polynomial`` holds coefficients in ascending power order,
-    monic and irreducible of degree m ((0, 1), that is x, when m = 1).  The
-    record builds its own ``exp_table`` and ``log_table``: one pair for
-    every field, by ``_build_log_tables``, in the module docstring's layout.
+    ``reduction_polynomial`` is the fixed one for (p, m) of the module
+    docstring, with coefficients in ascending power order ((0, 1), that is
+    x, when m = 1).  The record builds its own ``exp_table`` and
+    ``log_table``: one pair for every field, by ``_build_log_tables``, in
+    the module docstring's layout.
     """
 
     q: int
-    p: int
-    m: int
-    reduction_polynomial: tuple[int, ...]
+    p: int = field(init=False)
+    m: int = field(init=False)
+    reduction_polynomial: tuple[int, ...] = field(init=False)
     exp_table: np.ndarray = field(init=False, repr=False, compare=False)
     log_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q > MAX_ORDER:
             raise ValueError(f"field order must be at most 2^16, got {self.q}")
-        if _prime_power(self.q) != (self.p, self.m):
-            raise ValueError(f"inconsistent field parameters q={self.q}, p={self.p}, m={self.m}")
-        poly = self.reduction_polynomial
-        if len(poly) != self.m + 1 or poly[-1] != 1 or any(not 0 <= c < self.p for c in poly[:-1]):
-            raise ValueError("reduction polynomial must be monic of degree m with coefficients in [0, p)")
-        if not _is_irreducible(poly, self.p):
-            raise ValueError(f"reduction polynomial {poly} is reducible over F_{self.p}")
-        exp, log = _build_log_tables(self.q, self.p, self.m, poly)
+        pp = _prime_power(self.q)
+        if pp is None:
+            raise ValueError(f"field order must be a prime power, got {self.q}")
+        poly = _least_irreducible(*pp)
+        exp, log = _build_log_tables(self.q, *pp, poly)
         # 0 included: its sentinel log must land on a zero of exp
         a = np.arange(self.q)
         if not (exp[log[a]] == a).all():
             raise ValueError("exp/log tables are inconsistent")
-        object.__setattr__(self, "exp_table", exp)
-        object.__setattr__(self, "log_table", log)
+        for name, value in zip(("p", "m", "reduction_polynomial", "exp_table", "log_table"),
+                               (*pp, poly, exp, log)):
+            object.__setattr__(self, name, value)
 
 
 @lru_cache(maxsize=None)
@@ -234,12 +231,7 @@ def make_field(q: int) -> FieldSpec:
     power 2 <= q <= 2^16; rejects everything else."""
     if not isinstance(q, int) or isinstance(q, bool):
         raise TypeError(f"field order must be an integer, got {type(q).__name__}")
-    if q > MAX_ORDER:
-        raise ValueError(f"field order must be at most 2^16, got {q}")
-    pp = _prime_power(q)
-    if pp is None:
-        raise ValueError(f"field order must be a prime power, got {q}")
-    return FieldSpec(q, *pp, _least_irreducible(*pp))
+    return FieldSpec(q)
 
 
 def entry_dtype(q: int):

@@ -14,8 +14,8 @@ match.
 
 Since a trial's window depends only on (N, M) and the seed, the points of a
 sweep that share (N, M) read the same uniforms.  A :class:`TrialDraws` holds
-one such group: each batch is drawn once and its delivery mask computed once
-per eps_rd, and every point of the group maps its own coefficients from them.
+one such group: each batch is drawn once, and every point of the group maps
+its own coefficients and delivery mask from it.
 The contract above is unchanged, so sharing cannot move a failure count.
 """
 
@@ -112,11 +112,12 @@ class TrialDraws:
     points, shared by the group's ``readers`` points.
 
     A batch is drawn on its first read, from a Philox advanced to the batch's
-    first counter block, and its delivery mask is computed once per eps_rd;
-    both are dropped from the group once all ``readers`` points have read
-    them.  Only the batches that lie within the first BATCH_TRIALS trials and
-    within _BATCH_UNIFORMS uniforms are shared; each read of a later batch
-    draws it afresh.  Reads may come from several threads at once.
+    first counter block, and dropped from the group once all ``readers``
+    points have read it.  Only the batches that lie within the first
+    BATCH_TRIALS trials and within _BATCH_UNIFORMS uniforms are shared; each
+    read of a later batch draws it afresh.  Reads may come from several
+    threads at once: the first reader of a shared batch draws it under the
+    group's lock.
     """
 
     def __init__(self, n_sources: int, n_relays: int, trials: int, seed: int = 0,
@@ -133,45 +134,30 @@ class TrialDraws:
         self._shared_trials = min(BATCH_TRIALS, _BATCH_UNIFORMS // (4 * self._stride))
         self._readers = readers
         self._lock = threading.Lock()
-        self._open: dict[int, _Batch] = {}  # start -> batch not yet read by all readers
+        self._open: dict[int, list] = {}  # start -> [reads still awaited, uniforms]
 
-    def read(self, start: int, eps_rd: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def read(self, start: int) -> np.ndarray:
         """Return the uniforms of the batch whose first trial is ``start``,
-        as (trials, 4 * stride), with its delivery mask ``keep`` (trials, M)
-        and ``viable``, the trials that delivered at least N rows."""
-        n, m, trials, seed, _ = self.key
-        b = min(self.batch, trials - start)
-        shared = start + b <= self._shared_trials
+        as (trials, 4 * stride)."""
+        b = min(self.batch, self.key[2] - start)
+        if start + b > self._shared_trials:
+            return self._draw(start, b)
         with self._lock:
-            entry = self._open.get(start)
-            if entry is None:
-                entry = self._open[start] = _Batch(self._readers if shared else 1)
-            entry.unread -= 1
-            if not entry.unread:
+            if start not in self._open:
+                self._open[start] = [self._readers, self._draw(start, b)]
+            entry = self._open[start]
+            entry[0] -= 1
+            if not entry[0]:
                 del self._open[start]
-        with entry.lock:
-            if entry.u is None:
-                # as a list, seeds above 2^63 would be rounded through float64
-                philox = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-                philox.advance(start * self._stride)
-                # whole trial windows: 4 doubles a counter block
-                entry.u = np.random.Generator(philox).random(b * self._stride * 4).reshape(
-                    b, self._stride * 4)
-            masks = entry.masks.get(eps_rd)
-            if masks is None:
-                keep = entry.u[:, m * n:m * n + m] < (1.0 - eps_rd)
-                masks = entry.masks[eps_rd] = (keep, keep.sum(axis=1) >= n)
-        return (entry.u, *masks)
+        return entry[1]
 
-
-class _Batch:
-    """One batch of a TrialDraws group and the reads it still awaits."""
-
-    def __init__(self, unread: int):
-        self.unread = unread
-        self.lock = threading.Lock()
-        self.u = None
-        self.masks: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    def _draw(self, start: int, b: int) -> np.ndarray:
+        # as a list, seeds above 2^63 would be rounded through float64
+        philox = np.random.Philox(key=np.array([self.key[3], 0], dtype=np.uint64))
+        philox.advance(start * self._stride)
+        # whole trial windows: 4 doubles a counter block
+        return np.random.Generator(philox).random(b * self._stride * 4).reshape(
+            b, self._stride * 4)
 
 
 def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
@@ -196,12 +182,14 @@ def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
     f = make_field(params.q)
     failures = 0
     for start in range(0, trials, draws.batch):
-        u, keep, viable = draws.read(start, params.eps_rd)
+        u = draws.read(start)
         b = len(u)
         coeffs = _coefficients_from_uniform(u[:, :m * n], params.eps_sr, params.q)
+        keep = u[:, m * n:m * n + m] < (1.0 - params.eps_rd)
         del u  # so that the group's last reader frees the batch before ranking it
         coeffs = coeffs.reshape(b, m, n)
         coeffs *= keep[:, :, None].astype(coeffs.dtype)
+        viable = keep.sum(axis=1) >= n
         failures += int(b - viable.sum())
         if viable.any():
             ranks = rank_batch(f, coeffs[viable], target=n)

@@ -239,6 +239,28 @@ def test_shared_draws_keep_every_estimate(monkeypatch, seed):
         assert cli._simulate_points(MIXED_POINTS, 5000, seed) == want, cores
 
 
+FIG4_POINTS = [NetworkParams(**kw) for kw in cli._PRESETS["fig4"]]
+
+
+@pytest.mark.parametrize("points", [FIG4_POINTS, MIXED_POINTS], ids=["fig4", "mixed"])
+def test_every_shared_batch_is_released_by_the_end_of_a_run(monkeypatch, points):
+    # a group told to await more readers than it has would keep its batches
+    # for the rest of the run
+    made = []
+
+    def recording(*args, **kw):
+        made.append(simulate.TrialDraws(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "TrialDraws", recording)
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        made.clear()
+        cli._simulate_points(points, 5000, 3)
+        assert len(made) == len({(p.n_sources, p.n_relays) for p in points}), cores
+        assert all(not draws._open for draws in made), cores
+
+
 def test_each_group_draws_once_and_is_submitted_in_one_run(monkeypatch, draw_sizes):
     # one batch a group, not one a point; a group's points are submitted one
     # after another, which bounds how many groups' draws are held at once
