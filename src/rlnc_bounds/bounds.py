@@ -95,8 +95,11 @@ def _null_vector_sum(terms: list[tuple[float, float]], rows: int) -> float:
     coding matrix; at least 1 whenever rows < N."""
     total = 0.0
     for prefix, logg in terms:
-        # a zero gamma adds exp(-inf) = 0 for rows > 0, and 0^0 = 1
-        total += _exp(prefix + (rows * logg if rows else 0.0))
+        x = prefix + (rows * logg if rows else 0.0)  # 0^0 = 1
+        # exp is exactly 0.0 below about -745.13 (a zero gamma gives -inf), and
+        # skipping a term of 0.0 changes no bit of the sum
+        if x >= -746.0:
+            total += _exp(x)
     return total
 
 

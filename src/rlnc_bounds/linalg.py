@@ -5,8 +5,8 @@ matrix takes its first row with a nonzero entry as the pivot row, and
 ``(a_ic / p_c) * pivot_row`` is subtracted from every row, the pivot row
 included.  That zeroes the pivot row, so no row is swapped or selected:
 every matrix in the stack gets the same update of its columns c+1 onward,
-and its rank is the number of columns that had a pivot.  A matrix leaves
-the working stack once its rank is settled.
+and its rank is the number of columns that had a pivot.  Outside F_2 and
+GF(4), a matrix leaves the working stack once its rank is settled.
 
 The working stack is held as (cols, rows, batch): the columns still to
 eliminate are one contiguous block, and every elementwise loop runs along
@@ -14,7 +14,7 @@ the batch rather than along the 10-35 rows of a matrix.
 
 The update's field arithmetic: for prime q, ``a + f*(q - p)`` reduced mod q
 in an unsigned dtype that holds q^2 - 1.  Extensions of F_2 choose the
-product by entry dtype.  With bytes (q <= 256) it is taken in bit planes:
+product by entry dtype.  With bytes (8 <= q <= 256) it is taken in bit planes:
 for each basis bit b, the rows whose entry a has bit b set take
 ``x^b * (pivot_row / p)``, computed on the small pivot slab, by a uint8 AND
 with an all-ones mask and an XOR, so the stack sees no per-entry lookup.
@@ -23,8 +23,14 @@ table, then XOR; bit planes measured 1.7-2.8x slower there.  Extensions of
 odd characteristic add by Zech logarithms: an entry b becomes
 ``exp[lc + zech[logp[b] - lc]]``, lc the log of ``a * (-pivot_row / p)``,
 with zero operands as regions of the tables (``fields._zech_tables``).
-Over F_2 with at most 64 columns, rows are packed into uint64 bit masks and
-take the same update as one XOR.  Inputs are never mutated.
+
+F_2 and GF(4) are bit-sliced instead: bit k of uint64 word w holds matrix
+64w + k, so one word operation updates 64 matrices, and a GF(4) entry is
+two such bits.  At column c the pivot selector of row i is
+``nonzero_i & ~seen_(i-1)``, seen being the running OR down the rows; the
+pivot row is the OR over rows of ``selector & row``, and the update is ANDs
+and XORs of bit planes.  Widths are not limited, and a lane cannot leave
+its word, so these fields run every column.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
     Monte Carlo estimator where per-matrix Python loops would dominate.
     With ``target`` set, a matrix that can no longer reach that rank is
     abandoned; its reported value is then only guaranteed to be < target.
+    Over F_2 and GF(4) ``target`` is ignored and every rank is exact.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3:
@@ -48,8 +55,8 @@ def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
     nb, nrows, ncols = mats.shape
     if nb == 0 or nrows == 0 or ncols == 0:
         return np.zeros(nb, dtype=np.int64)
-    if field.q == 2 and ncols <= 64:
-        return _rank_batch_bits(mats, target)
+    if field.q in (2, 4):
+        return _rank_batch_sliced(mats, field.m)
     q = field.q
     dt = entry_dtype(q)
     if field.m == 1:
@@ -163,26 +170,47 @@ class _Survivors:
         return keep
 
 
-def _rank_batch_bits(mats: np.ndarray, target: int | None) -> np.ndarray:
-    """Elimination over F_2 with rows packed into uint64 bit masks."""
+def _rank_batch_sliced(mats: np.ndarray, m: int) -> np.ndarray:
+    """Elimination over F_2 (m = 1) or GF(4) (m = 2), bit-sliced across
+    matrices; lanes past the batch are zero matrices.  Word operations never
+    mix bytes, so the byte order does not matter."""
     nb, nrows, ncols = mats.shape
-    packed = np.packbits(mats != 0, axis=2, bitorder="little")
-    buf = np.zeros((nb, nrows, 8), dtype=np.uint8)
-    buf[:, :, :packed.shape[2]] = packed
-    bits = buf.view("<u8")[:, :, 0]
-    tmp = np.empty(bits.size, dtype=np.uint64)
-    state = _Survivors(nb, nrows, ncols, target)
+    words = -(-nb // 64)
+    ents = mats.astype(np.uint8, copy=False)
+    bits = np.zeros((m, 64 * words, nrows, ncols), dtype=np.uint8)  # basis bit first
+    for j in range(m):
+        np.bitwise_and(ents >> j, 1, out=bits[j, :nb])
+    # byte i of a word holds matrices 8i..8i+7: packing the strided slabs
+    # before the transpose moves 8x fewer bytes than transposing entries
+    packed = bits[:, 0::8].copy()
+    t = np.empty_like(packed)
+    for k in range(1, 8):
+        np.left_shift(bits[:, k::8], k, out=t)
+        packed |= t
+    # (cols, basis bit, rows, words)
+    work = np.ascontiguousarray(packed.transpose(3, 0, 2, 1)).view(np.uint64)
+    pivoted = np.empty((ncols, words), dtype=np.uint64)
+    tmp = np.empty(work[1:].size, dtype=np.uint64)
     for col in range(ncols):
-        nz = (bits & np.uint64(1 << col)) != 0
-        k = np.arange(len(bits))
-        piv = nz.argmax(axis=1)
-        pivrow = bits[k, piv]
-        t = tmp[:bits.size].reshape(bits.shape)
-        np.multiply(nz, pivrow[:, None], out=t)
-        bits ^= t
-        keep = state.advance(col, nz[k, piv])
-        if keep is not None:
-            if not keep.size:
-                break
-            bits = bits[keep]
-    return state.ranks
+        a, rest = work[col], work[col + 1:]
+        first = np.bitwise_or.reduce(a, axis=0)  # the column's nonzero entries
+        seen = np.bitwise_or.accumulate(first, axis=0)
+        first[1:] &= ~seen[:-1]  # now set only in each lane's pivot row
+        pivoted[col] = seen[-1]
+        t = tmp[:rest.size].reshape(rest.shape)
+        np.bitwise_and(rest, first, out=t)
+        s = np.bitwise_or.reduce(t, axis=2)  # the pivot row
+        if m == 2:
+            # divide by the pivot (p0, p1), whose inverse under x^2 + x + 1
+            # is (p0 ^ p1, p1)
+            p0, p1 = np.bitwise_or.reduce(a & first, axis=1)
+            s0, s1 = s[:, 0], s[:, 1]
+            s = np.stack([s0 & (p0 ^ p1) ^ s1 & p1, s1 & p0 ^ s0 & p1], axis=1)
+        # every row adds a * s, the XOR over basis bits j of a_j * (x^j s)
+        for j in range(m):
+            if j:
+                s = np.stack([s[:, 1], s[:, 0] ^ s[:, 1]], axis=1)  # x (s0 + s1 x)
+            np.bitwise_and(a[j], s[:, :, None], out=t)
+            rest ^= t
+    return np.unpackbits(pivoted.view(np.uint8), axis=1, count=nb,
+                         bitorder="little").sum(axis=0, dtype=np.int64)

@@ -147,7 +147,7 @@ def test_rank_batch_figure_sized_stacks(q):
     assert (rank_batch(f, mats) == want).all()
 
 
-def test_rank_batch_binary_at_the_widest_packed_width():
+def test_rank_batch_binary_64_columns_bit_sliced():
     rng = np.random.default_rng(64)
     f = make_field(2)
     mats = rng.integers(0, 2, size=(40, 66, 64))
@@ -158,13 +158,41 @@ def test_rank_batch_binary_at_the_widest_packed_width():
     assert 64 in want and max(want[20:]) < 64
 
 
-def test_rank_batch_wide_binary_matrices_use_generic_path():
+def test_rank_batch_binary_66_columns_bit_sliced():
     rng = np.random.default_rng(3)
     f = make_field(2)
     mats = rng.integers(0, 2, size=(12, 70, 66))
     got = rank_batch(f, mats)
     want = [scalar_rank(f, m, 66) for m in mats]
     assert got.tolist() == want
+
+
+# 64 matrices to a word: these lengths leave 63, 1, 0, 63, 1 and 63 padding lanes
+@pytest.mark.parametrize("nb", [1, 63, 64, 65, 127, 4097])
+@pytest.mark.parametrize("q", [2, 4])
+def test_bit_sliced_batches_of_any_length(q, nb):
+    rng = np.random.default_rng(nb * q)
+    f = make_field(q)
+    mats = _sparse_stack(rng, q, (nb, 6, 5))
+    want = [scalar_rank(f, m, 5) for m in mats]
+    assert rank_batch(f, mats).tolist() == want
+    # over F_2 and GF(4) the target leaves every rank exact
+    assert rank_batch(f, mats, target=5).tolist() == want
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("shape", [(8, 130, 100), (70, 5, 9), (70, 9, 9)])
+def test_bit_sliced_ranks_of_wide_short_and_square_stacks(q, shape):
+    rng = np.random.default_rng(shape[1] + q)
+    f = make_field(q)
+    mats = rng.integers(0, q, size=shape)
+    mats *= rng.random((*shape[:2], 1)) < 0.7  # erased rows
+    mats[::3, :, -1] = mats[::3, :, 0]  # a repeated column
+    cols = shape[2]
+    want = [scalar_rank(f, m, cols) for m in mats]
+    assert len(set(want)) > 1
+    assert rank_batch(f, mats).tolist() == want
+    assert rank_batch(f, mats, target=cols).tolist() == want
 
 
 def test_rank_batch_empty_batch():
