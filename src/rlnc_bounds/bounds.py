@@ -12,10 +12,33 @@ indexed by the delivered count r = 0..M: ``expected_null_vectors``,
 ``dependence_ub`` / ``dependence_lb`` (the column-dependence bounds) and
 ``zero_column_prob``, next to the ``delivery_pmf`` itself.
 
-Every series is evaluated term-by-term as exp(sum of logs) so that huge
+Every series is evaluated term by term as exp(sum of logs), so that huge
 binomial weights and vanishing powers combine without overflow; all terms
 are nonnegative, so plain accumulation is cancellation-free and double
 precision holds ~1e-12 relative error.
+
+The series are evaluated as float64 arrays, bit for bit equal to a scalar
+loop that adds the terms one at a time from 0.0 (kept in the tests as the
+reference).  For the null-vector series, a block of exponents
+log C(N, w) + (w - 1) log(q - 1) + r log v_w holds one column per delivered
+count r and one row per weight w, built with the scalar loop's IEEE
+operations.  Each surviving term is exponentiated with ``math.exp``, since
+numpy's SIMD ``exp`` differs from libm in the last bit on some inputs, and
+each column is added top to bottom with ``np.add.accumulate``, which adds
+in order as ``+=`` does (a test guards this).  An exponent of 709 or more
+saturates to the largest double, and a sum past it is inf.  Two skips
+change no bit:
+
+* x < -746: exp(x) is exactly 0.0, and adding 0.0 to a nonnegative total
+  leaves it as it is;
+* x more than 40 below an earlier exponent of its column (taken at most
+  709): the running total already holds that earlier term, so the new one
+  is below e^-40 < 2^-54 of it, under half an ulp, and rounds away.
+
+Blocks hold at most ``_BLOCK`` exponents, which bounds the temporaries.  The
+column-dependence bounds add N log1p terms over a sliding window for each
+r; all windows are added at once, one float64 slice a term, from +0.0 as
+the scalar loop does.
 """
 
 from __future__ import annotations
@@ -24,17 +47,20 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fields import _prime_power
 
 _EXP_MAX = 709.0  # beyond this, exp() saturates to the largest double
+_EXP_ZERO = -746.0  # below this, exp() is exactly 0.0
+_NEGLIGIBLE = 40.0  # e^-40 < 2^-54: a term this far below an earlier one adds nothing
+_BLOCK = 1 << 12  # exponents per block of the null-vector series
 
 
-def _exp(x: float) -> float:
-    return math.exp(x) if x < _EXP_MAX else sys.float_info.max
-
-
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _log_combs(n: int) -> list[float]:
+    """log C(n, k) for k = 0..n."""
+    lg = [math.lgamma(k + 1) for k in range(n + 1)]
+    return [lg[n] - lg[k] - lg[n - k] for k in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -63,44 +89,65 @@ class NetworkParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
-def _row_zero_sum_raw(params: NetworkParams, weight: int) -> float:
+def _row_zero_sums_raw(params: NetworkParams) -> list[float]:
+    """gamma_w for w = 1..N before clamping."""
     qinv = 1.0 / params.q
     base = 1.0 - (1.0 - params.eps_sr) / (1.0 - qinv)
     # The base may be negative (e.g. -1 at eps_sr=0, q=2), so the power is
     # taken in linear domain before combining.
-    return qinv + (1.0 - qinv) * base**weight
+    return [qinv + (1.0 - qinv) * base**w for w in range(1, params.n_sources + 1)]
 
 
-def _weight_terms(params: NetworkParams, erased: float = 0.0) -> list[tuple[float, float]]:
-    """Per weight w = 1..N, the row-count-free parts of the null-vector
-    series: log C(N, w) + (w - 1) log(q - 1), and log(v_w) with
-    v_w = erased + (1 - erased) * gamma_w, a row that is erased with
-    probability ``erased`` counting as zero (v_w = gamma_w at 0).
+def _weight_terms(params: NetworkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per weight w = 1..N (one row each), the parts of the null-vector
+    series' exponents prefix_w + r log v_w: the prefix
+    log C(N, w) + (w - 1) log(q - 1) and log gamma_w as (N, 1) columns, and
+    the (N, 2) exponents of two whole series, the classic bound's and that of
+    r = 0 (0^0 = 1, where 0 * log 0 would be nan).  The classic bound's has
+    M rows with v_w = eps_rd + (1 - eps_rd) gamma_w, a row erased on its way
+    to the destination counting as zero.  A zero probability has log -inf.
 
     gamma_w, the probability that ``w`` coding coefficients sum to zero, is
     clamped into [0, 1], which its raw value leaves by rounding only; at
     w = 1 the algebra collapses to eps_sr, which is used exactly."""
-    n, q = params.n_sources, params.q
+    n, m, q, erased = params.n_sources, params.n_relays, params.q, params.eps_rd
     lq1 = math.log(q - 1.0) if q > 2 else 0.0
-    terms = []
-    for w in range(1, n + 1):
-        gamma = params.eps_sr if w == 1 else min(1.0, max(0.0, _row_zero_sum_raw(params, w)))
-        v = erased + (1.0 - erased) * gamma
-        terms.append((_log_comb(n, w) + (w - 1) * lq1, math.log(v) if v else -math.inf))
-    return terms
+    prefix = [lc + (w - 1) * lq1 for w, lc in enumerate(_log_combs(n)[1:], 1)]
+    gammas = [params.eps_sr] + [min(1.0, max(0.0, g)) for g in _row_zero_sums_raw(params)[1:]]
+    logs = [math.log(g) if g else -math.inf for g in gammas]
+    head = [[(p + m * math.log(v)) if (v := erased + (1.0 - erased) * g) else -math.inf, p]
+            for p, g in zip(prefix, gammas)]
+    return np.array(prefix)[:, None], np.array(logs)[:, None], np.array(head)
 
 
-def _null_vector_sum(terms: list[tuple[float, float]], rows: int) -> float:
-    """Expected count of projective nonzero null vectors of a ``rows``-row
-    coding matrix; at least 1 whenever rows < N."""
-    total = 0.0
-    for prefix, logg in terms:
-        x = prefix + (rows * logg if rows else 0.0)  # 0^0 = 1
-        # exp is exactly 0.0 below about -745.13 (a zero gamma gives -inf), and
-        # skipping a term of 0.0 changes no bit of the sum
-        if x >= -746.0:
-            total += _exp(x)
-    return total
+def _series_sums(x: np.ndarray) -> list[float]:
+    """sum_w exp(x[w, j]) for each column j of a block of exponents, which
+    it overwrites, bit for bit as a scalar loop adds the terms w = 0, 1, ..
+    from 0.0 (see the module docstring)."""
+    np.minimum(x, _EXP_MAX, out=x)
+    ref = np.maximum.accumulate(x)
+    ref -= _NEGLIGIBLE
+    np.maximum(ref, _EXP_ZERO, out=ref)
+    live = x >= ref
+    terms = np.zeros(x.shape)
+    # a memoryview yields Python floats one at a time, without a list of them
+    terms[live] = np.fromiter(map(math.exp, memoryview(x[live])), float)
+    terms[x == _EXP_MAX] = sys.float_info.max
+    with np.errstate(over="ignore"):  # the sum of two saturated terms is inf
+        return np.add.accumulate(terms)[-1].tolist()
+
+
+def _null_vector_sums(prefix: np.ndarray, log_gammas: np.ndarray, head: np.ndarray,
+                      m: int) -> list[float]:
+    """The series of ``_weight_terms``: the expected count of projective
+    nonzero null vectors of the classic bound's coding matrix of M rows, then
+    of a matrix of r rows for r = 0..m, at least 1 whenever r < N."""
+    step = max(1, _BLOCK // len(prefix))
+    sums = []
+    for start in range(1, m + 1, step):
+        x = prefix + log_gammas * np.arange(start, min(start + step, m + 1), dtype=float)
+        sums += _series_sums(np.concatenate((head, x), axis=1) if start == 1 else x)
+    return sums
 
 
 def _delivery_pmf(m: int, eps_rd: float) -> list[float]:
@@ -110,7 +157,7 @@ def _delivery_pmf(m: int, eps_rd: float) -> list[float]:
     if eps_rd == 1.0:
         return [1.0] + [0.0] * m
     lp, lq = math.log1p(-eps_rd), math.log(eps_rd)
-    return [_exp(_log_comb(m, r) + r * lp + (m - r) * lq) for r in range(m + 1)]
+    return [math.exp(lc + r * lp + (m - r) * lq) for r, lc in enumerate(_log_combs(m))]
 
 
 def _lb_old(params: NetworkParams) -> float:
@@ -124,32 +171,29 @@ def _lb_old(params: NetworkParams) -> float:
     return -math.expm1(n * math.log1p(-a))
 
 
-def _column_dependence(beta: float, n: int, m: int) -> list[float]:
+def _column_dependence(betas: tuple[float, ...], n: int, m: int) -> list[list[float]]:
     """Column-by-column bound on rank deficiency at r = 0..m delivered rows,
-    1 - prod_{i=1..N} (1 - beta^(r-i+1)), for the single-symbol probability
+    1 - prod_{i=1..N} (1 - beta^(r-i+1)), for each single-symbol probability
     ``beta``.  Exactly 1 whenever r < N, where a zero-exponent factor kills
     the product; 0^0 = 1 throughout."""
-    # log1p(-beta^k) for k = 0..m; -inf where beta^k = 1 (bound 1)
-    logs = [math.log1p(-beta**k) if beta**k < 1.0 else -math.inf for k in range(m + 1)]
-    out = []
-    for r in range(m + 1):
-        if r < n:
-            out.append(1.0)
-            continue
-        logprod = 0.0
-        for lg in logs[r:r - n:-1]:  # exponents r - i + 1, i = 1..N
-            logprod += lg
-        out.append(-math.expm1(logprod))
-    return out
+    # log1p(-beta^k) for k = 0..m, one column per beta; -inf where beta^k = 1
+    logs = np.array([math.log1p(-p) if (p := beta**k) < 1.0 else -math.inf
+                     for k in range(m + 1) for beta in betas]).reshape(m + 1, len(betas))
+    # for every r >= N at once, add the exponents r, r - 1, .., r - N + 1 in
+    # turn, from +0.0
+    logprod = logs[n:] + 0.0
+    for i in range(1, n):
+        logprod += logs[n - i:m + 1 - i]
+    ones = [1.0] * min(n, m + 1)
+    return [ones + [-math.expm1(s) for s in col] for col in logprod.T.tolist()]
 
 
-def _zero_column_prob(params: NetworkParams, rows: int) -> float:
-    """Probability that at least one source column is all-zero among
-    ``rows`` delivered rows; equals 1 - (1 - eps_sr^rows)^N."""
-    a = params.eps_sr**rows  # 0^0 = 1
-    if a >= 1.0:
-        return 1.0
-    return -math.expm1(params.n_sources * math.log1p(-a))
+def _zero_column_probs(params: NetworkParams) -> list[float]:
+    """Probability that at least one source column is all-zero among r
+    delivered rows, 1 - (1 - eps_sr^r)^N, for r = 0..M."""
+    n, e = params.n_sources, params.eps_sr
+    return [1.0 if (a := e**r) >= 1.0 else -math.expm1(n * math.log1p(-a))  # 0^0 = 1
+            for r in range(params.n_relays + 1)]
 
 
 @dataclass(frozen=True)
@@ -209,18 +253,16 @@ def evaluate_all(params: NetworkParams) -> BoundSet:
     rows, each erased with probability eps_rd.
     """
     n, m = params.n_sources, params.n_relays
-    terms = _weight_terms(params)
     spread = (1.0 - params.eps_sr) / (params.q - 1)
     pmf = _delivery_pmf(m, params.eps_rd)
-    nulls = [_null_vector_sum(terms, r) for r in range(m + 1)]
-    dep_ub = _column_dependence(max(params.eps_sr, spread), n, m)
-    dep_lb = _column_dependence(min(params.eps_sr, spread), n, m)
-    zerocol = [_zero_column_prob(params, r) for r in range(m + 1)]
+    raw, *nulls = _null_vector_sums(*_weight_terms(params), m)
+    dep_ub, dep_lb = _column_dependence((max(params.eps_sr, spread),
+                                         min(params.eps_sr, spread)), n, m)
+    zerocol = _zero_column_probs(params)
 
     clamp = lambda x: min(1.0, max(0.0, x))
-    up = clamp(sum(wt * min(dep_ub[r], nulls[r], 1.0) for r, wt in enumerate(pmf)))
-    low = clamp(sum(wt * max(dep_lb[r], zerocol[r]) for r, wt in enumerate(pmf)))
-    raw = _null_vector_sum(_weight_terms(params, params.eps_rd), m)
+    up = clamp(sum(wt * min(d, v, 1.0) for wt, d, v in zip(pmf, dep_ub, nulls)))
+    low = clamp(sum(wt * max(d, z) for wt, d, z in zip(pmf, dep_lb, zerocol)))
     tables = PerDeliveryTables(tuple(pmf), tuple(nulls), tuple(dep_ub),
                                tuple(dep_lb), tuple(zerocol))
     return BoundSet(params=params, mu0=nulls[m], lb_old=_lb_old(params), lb_new=low,

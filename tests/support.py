@@ -7,11 +7,14 @@ probabilities from exact rational arithmetic, second forms of the
 closed-form bounds or the exact closed form for uniform coefficients,
 simulated draws from one trial at a time, and the tiny-instance failure
 probability from enumerating the full joint (matrix, erasure-pattern)
-space.
+space.  The one exception is the bitwise reference for the bound tables,
+which adds their series one term at a time in Python floats and reads
+only gamma_w's raw formula and ``lb_old`` from the library.
 """
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -20,7 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from rlnc_bounds.bounds import NetworkParams
+from rlnc_bounds.bounds import (BoundSet, NetworkParams, PerDeliveryTables, _lb_old,
+                                _row_zero_sums_raw)
 from rlnc_bounds.fields import FieldSpec, _dense_tables
 
 
@@ -347,6 +351,97 @@ def sample_received_matrix(params: NetworkParams, rng: np.random.Generator) -> n
     coeffs = [_coefficient_from_uniform(x, params.eps_sr, params.q) for x in u[:m * n]]
     kept = [coeffs[i * n:(i + 1) * n] for i in range(m) if u[m * n + i] < 1.0 - params.eps_rd]
     return np.array(kept, dtype=np.int64).reshape(len(kept), n)
+
+
+# The bound series evaluated one term at a time in Python floats: the
+# bitwise reference for the library's array evaluation.  Each loop adds its
+# terms in the order the arrays do, so every result must be equal under ==,
+# zeros in sign too.
+
+def _log_comb(n: int, k: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def scalar_weight_terms(params: NetworkParams, erased: float = 0.0) -> list[tuple[float, float]]:
+    """Per weight w = 1..N, log C(N, w) + (w - 1) log(q - 1) and log v_w,
+    v_w = erased + (1 - erased) gamma_w: a row erased with probability
+    ``erased`` counts as zero."""
+    n, q = params.n_sources, params.q
+    lq1 = math.log(q - 1.0) if q > 2 else 0.0
+    terms = []
+    for w, raw in enumerate(_row_zero_sums_raw(params), 1):
+        gamma = params.eps_sr if w == 1 else min(1.0, max(0.0, raw))
+        v = erased + (1.0 - erased) * gamma
+        terms.append((_log_comb(n, w) + (w - 1) * lq1, math.log(v) if v else -math.inf))
+    return terms
+
+
+def scalar_null_vector_sum(terms: list[tuple[float, float]], rows: int) -> float:
+    """Expected count of projective nonzero null vectors of a ``rows``-row
+    coding matrix: sum over w of exp(prefix_w + rows log v_w), added for
+    w = 1, 2, ..., N from 0.0, a term of 709 or more as the largest double."""
+    total = 0.0
+    for prefix, logv in terms:
+        x = prefix + (rows * logv if rows else 0.0)  # 0^0 = 1
+        # exp is exactly 0.0 below about -745.13 (a zero gamma gives -inf)
+        if x >= -746.0:
+            total += math.exp(x) if x < 709.0 else sys.float_info.max
+    return total
+
+
+def scalar_column_dependence(beta: float, n: int, m: int) -> list[float]:
+    """1 - prod_{i=1..N} (1 - beta^(r-i+1)) at r = 0..m, as exp of a sum of
+    log1p terms added for i = 1, 2, ..., N from +0.0; 1 for r < N."""
+    logs = [math.log1p(-beta**k) if beta**k < 1.0 else -math.inf for k in range(m + 1)]
+    out = []
+    for r in range(m + 1):
+        if r < n:
+            out.append(1.0)
+            continue
+        logprod = 0.0
+        for lg in logs[r:r - n:-1]:  # exponents r - i + 1, i = 1..N
+            logprod += lg
+        out.append(-math.expm1(logprod))
+    return out
+
+
+def scalar_delivery_pmf(m: int, eps_rd: float) -> list[float]:
+    """Binomial(m, 1 - eps_rd) over the number of delivered rows."""
+    if eps_rd == 0.0:
+        return [0.0] * m + [1.0]
+    if eps_rd == 1.0:
+        return [1.0] + [0.0] * m
+    lp, lq = math.log1p(-eps_rd), math.log(eps_rd)
+    return [math.exp(_log_comb(m, r) + r * lp + (m - r) * lq) for r in range(m + 1)]
+
+
+def scalar_zero_column_prob(params: NetworkParams, rows: int) -> float:
+    """1 - (1 - eps_sr^rows)^N."""
+    a = params.eps_sr**rows  # 0^0 = 1
+    if a >= 1.0:
+        return 1.0
+    return -math.expm1(params.n_sources * math.log1p(-a))
+
+
+def scalar_evaluate_all(params: NetworkParams) -> BoundSet:
+    """``evaluate_all`` with every table evaluated by the loops above."""
+    n, m = params.n_sources, params.n_relays
+    spread = (1.0 - params.eps_sr) / (params.q - 1)
+    pmf = scalar_delivery_pmf(m, params.eps_rd)
+    terms = scalar_weight_terms(params)
+    nulls = [scalar_null_vector_sum(terms, r) for r in range(m + 1)]
+    dep_ub = scalar_column_dependence(max(params.eps_sr, spread), n, m)
+    dep_lb = scalar_column_dependence(min(params.eps_sr, spread), n, m)
+    zerocol = [scalar_zero_column_prob(params, r) for r in range(m + 1)]
+    clamp = lambda x: min(1.0, max(0.0, x))
+    up = clamp(sum(wt * min(dep_ub[r], nulls[r], 1.0) for r, wt in enumerate(pmf)))
+    low = clamp(sum(wt * max(dep_lb[r], zerocol[r]) for r, wt in enumerate(pmf)))
+    raw = scalar_null_vector_sum(scalar_weight_terms(params, params.eps_rd), m)
+    tables = PerDeliveryTables(tuple(pmf), tuple(nulls), tuple(dep_ub),
+                               tuple(dep_lb), tuple(zerocol))
+    return BoundSet(params=params, mu0=nulls[m], lb_old=_lb_old(params), lb_new=low,
+                    ub_new=up, ub_old_clamped=min(1.0, raw), ub_old_raw=raw,
+                    tables=tables)
 
 
 # Rational-arithmetic versions of the analytical quantities.

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rlnc_bounds.bounds import NetworkParams, _row_zero_sum_raw, _weight_terms, evaluate_all
-from support import (dependence_frac, lb_old_binomial_form, mu0_frac, ub_old_binomial_form,
-                     ub_old_frac, uniform_pfail, zero_column_frac)
+from rlnc_bounds import bounds
+from rlnc_bounds.bounds import NetworkParams, _row_zero_sums_raw, _weight_terms, evaluate_all
+from support import (dependence_frac, lb_old_binomial_form, mu0_frac, scalar_evaluate_all,
+                     ub_old_binomial_form, ub_old_frac, uniform_pfail, zero_column_frac)
 
 EPS_GRID = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
 
@@ -16,7 +19,7 @@ def P(n, m, q, esr, erd):
 
 def log_gammas(p):
     """log gamma_w for w = 1..N, as the null-vector series reads it."""
-    return [logv for _, logv in _weight_terms(p)]
+    return _weight_terms(p)[1][:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +69,7 @@ def test_binary_field_half_erasure_is_uniform():
 def test_raw_value_stays_in_unit_interval():
     for q in (2, 3, 4, 64):
         for e in EPS_GRID:
-            for w in range(1, 12):
-                raw = _row_zero_sum_raw(P(12, 12, q, e, 0.0), w)
+            for raw in _row_zero_sums_raw(P(11, 12, q, e, 0.0)):
                 assert -1e-12 <= raw <= 1 + 1e-12
 
 
@@ -349,3 +351,91 @@ def test_per_delivery_tables_equal_the_per_count_functions(q):
                         count += 1
                 assert bs.mu0 == bs.tables.expected_null_vectors[m]
     assert count == 11_400 // 5
+
+
+# ---------------------------------------------------------------------------
+# the array evaluation against the scalar loops, bit for bit
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _bitwise_differences(got, want) -> list[str]:
+    """Every field of two BoundSets, tables entry by entry, that differs in
+    value or in the sign of a zero."""
+    diffs = []
+    for field in dataclasses.fields(want):
+        if field.name in ("params", "tables"):
+            continue
+        if not _same_bits(getattr(got, field.name), getattr(want, field.name)):
+            diffs.append(field.name)
+    for field in dataclasses.fields(want.tables):
+        g, w = getattr(got.tables, field.name), getattr(want.tables, field.name)
+        if len(g) != len(w) or not all(map(_same_bits, g, w)):
+            diffs.append(field.name)
+    return diffs
+
+
+def _grid_points():
+    for n in (1, 2, 3, 7, 20, 50, 200):
+        for m in sorted({n, n + 1, 2 * n, 3 * n} if n < 200 else {n, 3 * n}):
+            for q in (2, 64, 65536, 2**31 - 1):
+                for esr in (0.0, 1e-9, 1.0 / q, 0.3, 0.9, 1.0):
+                    for erd in (0.0, 0.1, 1.0):
+                        yield NetworkParams(n, m, q, esr, erd)
+
+
+def test_array_evaluation_equals_the_scalar_loops_bit_for_bit():
+    # also no RuntimeWarning: pytest turns one into an error
+    seen = {"zero gamma": 0, "saturated term": 0, "all -0.0 window": 0,
+            "sum past the largest double": 0}
+    count = 0
+    for p in _grid_points():
+        want = scalar_evaluate_all(p)
+        assert _bitwise_differences(evaluate_all(p), want) == [], p
+        count += 1
+        prefix, log_gammas, _ = _weight_terms(p)
+        seen["zero gamma"] += bool(np.isneginf(log_gammas).any())  # r = 0 is prefix alone
+        seen["saturated term"] += bool(prefix.max() >= 709.0)
+        seen["all -0.0 window"] += any(d == 0.0 and math.copysign(1.0, d) < 0
+                                       for d in want.tables.dependence_lb)
+        seen["sum past the largest double"] += math.isinf(want.tables.expected_null_vectors[0])
+    assert count == 1800
+    assert all(seen.values()), seen
+    # the edge cases named in the module docstring, at the points that show them
+    big = NetworkParams(200, 200, 64, 0.3, 0.1)
+    assert _weight_terms(big)[0].max() >= 709.0
+    assert math.isinf(evaluate_all(big).tables.expected_null_vectors[0])
+    assert math.copysign(1.0, evaluate_all(NetworkParams(3, 5, 4, 0.0, 0.1))
+                         .tables.dependence_lb[4]) < 0
+
+
+@pytest.mark.parametrize("block", [1, 3, 50])
+def test_block_size_changes_no_bit(monkeypatch, block):
+    monkeypatch.setattr(bounds, "_BLOCK", block)
+    for p in (NetworkParams(7, 21, 64, 0.3, 0.1), NetworkParams(20, 25, 4, 0.0, 0.1),
+              NetworkParams(50, 80, 2**31 - 1, 0.9, 0.0)):
+        assert _bitwise_differences(evaluate_all(p), scalar_evaluate_all(p)) == [], p
+
+
+def test_accumulate_adds_along_an_axis_left_to_right():
+    # The array evaluation relies on np.add.accumulate adding each column in
+    # order, as += does.  Each column below is 1.0 then many halves of an ulp
+    # of 1.0: added in order each half rounds away (a tie, to even), but
+    # pairwise summation adds the halves first and ends above 1.0.
+    n = 1000
+    cols = np.full((n, 3), 2.0**-53)
+    cols[0] = 1.0
+    cols[:, 1] *= 3.0
+    cols[0, 2] = 0.5
+    looped = []
+    for j in range(cols.shape[1]):
+        total = 0.0
+        for v in cols[:, j].tolist():
+            total += v
+        looped.append(total)
+    assert np.add.accumulate(cols)[-1].tolist() == looped
+    assert np.add.accumulate(cols.T, axis=1)[:, -1].tolist() == looped
+    # the input tells the two orders apart
+    assert np.add.reduce(np.ascontiguousarray(cols.T), axis=1).tolist() != looped
