@@ -134,7 +134,7 @@ def _series_sums(x: np.ndarray) -> list[float]:
     terms[live] = np.fromiter(map(math.exp, memoryview(x[live])), float)
     terms[x == _EXP_MAX] = sys.float_info.max
     with np.errstate(over="ignore"):  # the sum of two saturated terms is inf
-        return np.add.accumulate(terms)[-1].tolist()
+        return np.add.accumulate(terms, out=terms)[-1].tolist()
 
 
 def _null_vector_sums(prefix: np.ndarray, log_gammas: np.ndarray, head: np.ndarray,
@@ -176,6 +176,8 @@ def _column_dependence(betas: tuple[float, ...], n: int, m: int) -> list[list[fl
     1 - prod_{i=1..N} (1 - beta^(r-i+1)), for each single-symbol probability
     ``beta``.  Exactly 1 whenever r < N, where a zero-exponent factor kills
     the product; 0^0 = 1 throughout."""
+    if m < n:  # every window holds the zero exponent
+        return [[1.0] * (m + 1) for _ in betas]
     # log1p(-beta^k) for k = 0..m, one column per beta; -inf where beta^k = 1
     logs = np.array([math.log1p(-p) if (p := beta**k) < 1.0 else -math.inf
                      for k in range(m + 1) for beta in betas]).reshape(m + 1, len(betas))
@@ -184,7 +186,7 @@ def _column_dependence(betas: tuple[float, ...], n: int, m: int) -> list[list[fl
     logprod = logs[n:] + 0.0
     for i in range(1, n):
         logprod += logs[n - i:m + 1 - i]
-    ones = [1.0] * min(n, m + 1)
+    ones = [1.0] * n
     return [ones + [-math.expm1(s) for s in col] for col in logprod.T.tolist()]
 
 

@@ -378,12 +378,15 @@ def _bitwise_differences(got, want) -> list[str]:
 
 
 def _grid_points():
-    for n in (1, 2, 3, 7, 20, 50, 200):
-        for m in sorted({n, n + 1, 2 * n, 3 * n} if n < 200 else {n, 3 * n}):
-            for q in (2, 64, 65536, 2**31 - 1):
-                for esr in (0.0, 1e-9, 1.0 / q, 0.3, 0.9, 1.0):
-                    for erd in (0.0, 0.1, 1.0):
-                        yield NetworkParams(n, m, q, esr, erd)
+    shapes = [(n, m) for n in (1, 2, 3, 7, 20, 50, 200)
+              for m in sorted({n, n + 1, 2 * n, 3 * n} if n < 200 else {n, 3 * n})]
+    # fewer relays than sources, which the CLI accepts with a warning
+    shapes += [(6, 3), (8, 4), (8, 5), (10, 7)]
+    for n, m in shapes:
+        for q in (2, 64, 65536, 2**31 - 1):
+            for esr in (0.0, 1e-9, 1.0 / q, 0.3, 0.9, 1.0):
+                for erd in (0.0, 0.1, 1.0):
+                    yield NetworkParams(n, m, q, esr, erd)
 
 
 def test_array_evaluation_equals_the_scalar_loops_bit_for_bit():
@@ -401,7 +404,7 @@ def test_array_evaluation_equals_the_scalar_loops_bit_for_bit():
         seen["all -0.0 window"] += any(d == 0.0 and math.copysign(1.0, d) < 0
                                        for d in want.tables.dependence_lb)
         seen["sum past the largest double"] += math.isinf(want.tables.expected_null_vectors[0])
-    assert count == 1800
+    assert count == 2088
     assert all(seen.values()), seen
     # the edge cases named in the module docstring, at the points that show them
     big = NetworkParams(200, 200, 64, 0.3, 0.1)

@@ -67,12 +67,13 @@ def test_bounds_rejects_bad_probability():
 
 
 def test_bounds_warns_when_relays_are_scarce():
-    code, out, err = run_cli("bounds", "--sources", "5", "--relays", "3",
-                             "--field", "2", "--eps-sr", "0.1", "--eps-rd", "0.1")
-    assert code == 0
-    assert "fewer relays than sources" in err
-    _, rows = parse(out)
-    assert float(dict(zip(COLUMNS, rows[0]))["lb_new"]) == 1.0
+    for sources in ("5", "6", "8"):  # up to twice as many sources as relays
+        code, out, err = run_cli("bounds", "--sources", sources, "--relays", "3",
+                                 "--field", "2", "--eps-sr", "0.1", "--eps-rd", "0.1")
+        assert code == 0
+        assert "fewer relays than sources" in err
+        _, rows = parse(out)
+        assert float(dict(zip(COLUMNS, rows[0]))["lb_new"]) == 1.0
 
 
 def test_large_network_bound_columns():
