@@ -160,15 +160,16 @@ def _delivery_pmf(m: int, eps_rd: float) -> list[float]:
     return [math.exp(lc + r * lp + (m - r) * lq) for r, lc in enumerate(_log_combs(m))]
 
 
+def _any_of(n: int, a: float) -> float:
+    """1 - (1 - a)^n: at least one of n independent events of probability a."""
+    return 1.0 if a >= 1.0 else -math.expm1(n * math.log1p(-a))
+
+
 def _lb_old(params: NetworkParams) -> float:
     """Classic lower bound 1 - (1 - e^M)^N, driven by sources whose column
     dies end-to-end; e = eps_sr + eps_rd - eps_sr*eps_rd."""
-    n, m = params.n_sources, params.n_relays
     eff = params.eps_sr + params.eps_rd - params.eps_sr * params.eps_rd
-    a = eff**m
-    if a >= 1.0:
-        return 1.0
-    return -math.expm1(n * math.log1p(-a))
+    return _any_of(params.n_sources, eff**params.n_relays)
 
 
 def _column_dependence(betas: tuple[float, ...], n: int, m: int) -> list[list[float]]:
@@ -193,8 +194,7 @@ def _column_dependence(betas: tuple[float, ...], n: int, m: int) -> list[list[fl
 def _zero_column_probs(params: NetworkParams) -> list[float]:
     """Probability that at least one source column is all-zero among r
     delivered rows, 1 - (1 - eps_sr^r)^N, for r = 0..M."""
-    n, e = params.n_sources, params.eps_sr
-    return [1.0 if (a := e**r) >= 1.0 else -math.expm1(n * math.log1p(-a))  # 0^0 = 1
+    return [_any_of(params.n_sources, params.eps_sr**r)  # 0^0 = 1
             for r in range(params.n_relays + 1)]
 
 
@@ -262,9 +262,11 @@ def evaluate_all(params: NetworkParams) -> BoundSet:
                                          min(params.eps_sr, spread)), n, m)
     zerocol = _zero_column_probs(params)
 
-    clamp = lambda x: min(1.0, max(0.0, x))
-    up = clamp(sum(wt * min(d, v, 1.0) for wt, d, v in zip(pmf, dep_ub, nulls)))
-    low = clamp(sum(wt * max(d, z) for wt, d, z in zip(pmf, dep_lb, zerocol)))
+    up = low = 0.0  # added in order: sum() compensates its rounding from Python 3.12 on
+    for wt, du, v, dl, z in zip(pmf, dep_ub, nulls, dep_lb, zerocol):
+        up += wt * min(du, v, 1.0)
+        low += wt * max(dl, z)
+    up, low = (min(1.0, max(0.0, x)) for x in (up, low))
     tables = PerDeliveryTables(tuple(pmf), tuple(nulls), tuple(dep_ub),
                                tuple(dep_lb), tuple(zerocol))
     return BoundSet(params=params, mu0=nulls[m], lb_old=_lb_old(params), lb_new=low,

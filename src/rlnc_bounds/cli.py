@@ -131,7 +131,7 @@ def _simulate_points(points, trials: int, seed: int) -> list[SimEstimate]:
             draws = TrialDraws(n, m, trials, seed, batch, readers=len(members))
             for i in members:
                 # through the module global, which the benchmark's tracer patches
-                futures[i] = pool.submit(estimate_pfail, points[i], trials, seed, batch, draws)
+                futures[i] = pool.submit(estimate_pfail, points[i], trials, seed, draws)
         return [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)

@@ -5,12 +5,12 @@ matrix takes its first row with a nonzero entry as the pivot row, and
 ``(a_ic / p_c) * pivot_row`` is subtracted from every row, the pivot row
 included.  That zeroes the pivot row, so no row is swapped or selected:
 every matrix in the stack gets the same update of its columns c+1 onward,
-and its rank is the number of columns that had a pivot.  Outside F_2 and
-GF(4), a matrix leaves the working stack once its rank is settled.
+and its rank is the number of columns that had a pivot.  Every path runs
+every column, so every rank is exact.
 
-The working stack is held as (cols, rows, batch): the columns still to
-eliminate are one contiguous block, and every elementwise loop runs along
-the batch rather than along the 10-35 rows of a matrix.
+The stack is held as (cols, rows, batch): the columns still to eliminate
+are one contiguous block, and every elementwise loop runs along the batch
+rather than along the 10-35 rows of a matrix.
 
 The update's field arithmetic: for prime q, ``a + f*(q - p)`` reduced mod q
 in an unsigned dtype that holds q^2 - 1.  Extensions of F_2 choose the
@@ -29,8 +29,7 @@ F_2 and GF(4) are bit-sliced instead: bit k of uint64 word w holds matrix
 two such bits.  At column c the pivot selector of row i is
 ``nonzero_i & ~seen_(i-1)``, seen being the running OR down the rows; the
 pivot row is the OR over rows of ``selector & row``, and the update is ANDs
-and XORs of bit planes.  Widths are not limited, and a lane cannot leave
-its word, so these fields run every column.  Inputs are never mutated.
+and XORs of bit planes.  Widths are not limited.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -40,14 +39,11 @@ import numpy as np
 from .fields import FieldSpec, _inv_table, _zech_tables, entry_dtype
 
 
-def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
-    """Ranks of a (batch, rows, cols) stack of matrices over ``field``.
+def rank_batch(field: FieldSpec, mats) -> np.ndarray:
+    """Exact ranks of a (batch, rows, cols) stack of matrices over ``field``.
 
     One vectorised elimination pass across the whole batch; used by the
     Monte Carlo estimator where per-matrix Python loops would dominate.
-    With ``target`` set, a matrix that can no longer reach that rank is
-    abandoned; its reported value is then only guaranteed to be < target.
-    Over F_2 and GF(4) ``target`` is ignored and every rank is exact.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3:
@@ -79,9 +75,9 @@ def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
     gather = field.m > 1 and field.p == 2 and dt != np.uint8
     if gather:
         idx = np.empty(tmp.size, dtype=np.intp)
-    state = _Survivors(nb, nrows, ncols, target)
+    rank = np.zeros(nb, dtype=np.int64)
     for col in range(ncols):
-        a, rest = work[0], work[1:]
+        a, rest = work[col], work[col + 1:]
         nz = a != 0
         # flat index of each matrix's pivot entry in the (rows, batch) slab;
         # taking along the flattened slabs keeps the pivot rows batch-innermost
@@ -130,44 +126,8 @@ def rank_batch(field: FieldSpec, mats, target: int | None = None) -> np.ndarray:
             zech.take(d, out=d, mode="clip")
             lc += d
             exp.take(lc, out=rest, mode="clip")
-        keep = state.advance(col, nz.take(at))
-        if keep is None:
-            work = rest
-        elif keep.size:
-            # take, not rest[:, :, keep], whose result has the batch outermost
-            work = rest.take(keep, axis=2)
-        else:
-            break
-    return state.ranks
-
-
-class _Survivors:
-    """Ranks of the working stack, and which matrices are still in it.
-
-    A matrix leaves the stack when its rank is settled: it has no nonzero
-    row left, or (with a target) it can no longer reach the target.
-    """
-
-    def __init__(self, nb: int, nrows: int, ncols: int, target: int | None):
-        self.ranks = np.zeros(nb, dtype=np.int64)
-        self.ids = np.arange(nb)
-        self.rank = np.zeros(nb, dtype=np.int64)
-        self.nrows, self.ncols, self.target = nrows, ncols, target
-
-    def advance(self, col: int, pivoted: np.ndarray) -> np.ndarray | None:
-        """Count column ``col``'s pivots; return the indices that stay, or
-        None when all do."""
-        self.rank += pivoted
-        left = np.minimum(self.nrows - self.rank, self.ncols - 1 - col)
-        done = left == 0
-        if self.target is not None:
-            done |= self.rank + left < self.target
-        if not done.any():
-            return None
-        self.ranks[self.ids[done]] = self.rank[done]
-        keep = np.flatnonzero(~done)
-        self.ids, self.rank = self.ids[keep], self.rank[keep]
-        return keep
+        rank += nz.take(at)
+    return rank
 
 
 def _rank_batch_sliced(mats: np.ndarray, m: int) -> np.ndarray:

@@ -2,15 +2,16 @@
 an exact exhaustive oracle for tiny instances.
 
 Reproducibility scheme: every trial owns a fixed, disjoint window of a
-Philox counter-based stream keyed by the master seed.  Trial t reads its
-uniforms from counter blocks [t*S, (t+1)*S), where S depends only on the
-network dimensions, so the estimate is identical no matter how trials are
-batched or distributed across workers.  Within a trial the draw order is:
-M*N coefficient uniforms (row-major), then M delivery uniforms.  The
-Philox key is ``[seed, 0]`` as uint64 and S = ceil((M*N + M) / 4), since
-each counter block yields four doubles.  ``tests/support.py`` replays this
-contract one trial at a time, as the reference the batched estimator must
-match.
+Philox4x64-10 stream keyed by the master seed.  Trial t reads its
+uniforms from blocks [t*S, (t+1)*S), where S depends only on the network
+dimensions, so the estimate is identical no matter how trials are batched
+or distributed across workers; numpy increments the counter before each
+block, so block k is the Philox output at counter k + 1.  Within a trial
+the draw order is: M*N coefficient uniforms (row-major), then M delivery
+uniforms.  The key is ``[seed, 0]`` as uint64 and S = ceil((M*N + M) / 4),
+since a block yields four words x, each the double (x >> 11) * 2^-53.
+``tests/support.py`` replays this contract one trial at a time, as the
+reference the batched estimator must match.
 
 Since a trial's window depends only on (N, M) and the seed, the points of a
 sweep that share (N, M) read the same uniforms.  A :class:`TrialDraws` holds
@@ -102,14 +103,15 @@ def _coefficients_from_uniform(u: np.ndarray, eps_sr: float, q: int) -> np.ndarr
 
 
 def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is a valid master seed, 0 <= seed < 2^64."""
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    """Raise ValueError unless ``seed`` is a valid master seed, an int in [0, 2^64)."""
+    if type(seed) is not int or not 0 <= seed <= _MASK64:  # bool is an int subclass
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 class TrialDraws:
-    """The Philox uniforms of one (N, M, trials, seed, batch size) group of
-    points, shared by the group's ``readers`` points.
+    """The Philox uniforms of one (N, M, trials, seed) group of points, drawn
+    ``batch_size`` trials at a time and shared by the group's ``readers``
+    points.
 
     A batch is drawn on its first read, from a Philox advanced to the batch's
     first counter block, and dropped from the group once all ``readers``
@@ -122,12 +124,12 @@ class TrialDraws:
 
     def __init__(self, n_sources: int, n_relays: int, trials: int, seed: int = 0,
                  batch_size: int = BATCH_TRIALS, readers: int = 1):
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
+        if type(trials) is not int or trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         check_seed(seed)
-        self.key = (n_sources, n_relays, trials, seed, batch_size)
+        self.key = (n_sources, n_relays, trials, seed)
         self._stride = -(-(n_relays * n_sources + n_relays) // 4)
         # applied here, not per point, so that every reader sees the same batches
         self.batch = min(batch_size, max(1, _BATCH_UNIFORMS // (4 * self._stride)))
@@ -161,24 +163,23 @@ class TrialDraws:
 
 
 def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
-                   batch_size: int = BATCH_TRIALS, draws: TrialDraws | None = None
-                   ) -> SimEstimate:
+                   draws: TrialDraws | None = None) -> SimEstimate:
     """Estimate the failure probability from ``trials`` independent draws.
 
-    Deterministic for fixed (params, trials, seed) regardless of
-    ``batch_size``: each trial consumes exactly the uniforms of its own
-    substream.  All M relays draw their N coefficients (a relay that heard
-    nothing still sends an all-zero row), then each row survives the
+    Deterministic for fixed (params, trials, seed) regardless of the batch
+    size: each trial consumes exactly the uniforms of its own substream.
+    All M relays draw their N coefficients (a relay that heard nothing
+    still sends an all-zero row), then each row survives the
     relay-to-destination link with probability 1 - eps_rd.  ``draws``, a
-    group built for this (N, M, trials, seed, batch_size), lets the points
-    of a sweep share their uniforms; without it the point draws its own.
+    group built for this (N, M, trials, seed), lets the points of a sweep
+    share their uniforms; without it the point draws its own.
     """
     m, n = params.n_relays, params.n_sources
     if draws is None:
-        draws = TrialDraws(n, m, trials, seed, batch_size)
-    elif draws.key != (n, m, trials, seed, batch_size):
-        raise ValueError(f"draws made for (N, M, trials, seed, batch_size) = {draws.key}, "
-                         f"not {(n, m, trials, seed, batch_size)}")
+        draws = TrialDraws(n, m, trials, seed)
+    elif draws.key != (n, m, trials, seed):
+        raise ValueError(f"draws made for (N, M, trials, seed) = {draws.key}, "
+                         f"not {(n, m, trials, seed)}")
     f = make_field(params.q)
     failures = 0
     for start in range(0, trials, draws.batch):
@@ -192,7 +193,7 @@ def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
         viable = keep.sum(axis=1) >= n
         failures += int(b - viable.sum())
         if viable.any():
-            ranks = rank_batch(f, coeffs[viable], target=n)
+            ranks = rank_batch(f, coeffs[viable])
             failures += int((ranks < n).sum())
     est = failures / trials
     sigma = math.sqrt(est * (1.0 - est) / trials)
@@ -215,7 +216,7 @@ def _singular_zero_counts(q: int, cols: int, rows: int) -> tuple[int, ...]:
         for k in range(size):  # base-q digits of the matrix index
             index, ents[:, k] = np.divmod(index, q)
         # the chunk length, not -1, so that rows = 0 still reshapes
-        ranks = rank_batch(f, ents.reshape(len(ents), rows, cols), target=cols)
+        ranks = rank_batch(f, ents.reshape(len(ents), rows, cols))
         zeros = (ents[ranks < cols] == 0).sum(axis=1)
         hist += np.bincount(zeros, minlength=size + 1)
     return tuple(int(c) for c in hist)

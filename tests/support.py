@@ -5,7 +5,8 @@ field arithmetic comes from scalar operations on Python ints, ranks from
 nullspace enumeration or a scalar elimination with those operations,
 probabilities from exact rational arithmetic, second forms of the
 closed-form bounds or the exact closed form for uniform coefficients,
-simulated draws from one trial at a time, and the tiny-instance failure
+simulated draws from one trial at a time (through numpy's Philox, and a
+pure-Python Philox to check it against), and the tiny-instance failure
 probability from enumerating the full joint (matrix, erasure-pattern)
 space.  The one exception is the bitwise reference for the bound tables,
 which adds their series one term at a time in Python floats and reads
@@ -319,16 +320,52 @@ def uniform_pfail(n: int, m: int, q: int, eps_rd: float) -> float:
 
 
 # Per-trial reference for the simulator's draw contract: trial t of seed s
-# reads its uniforms from a Philox stream keyed by [s, 0] as uint64,
-# starting at counter block t*S with S = ceil((M*N + M) / 4), since each
-# block yields four doubles.  It draws M*N coefficient uniforms (row-major),
-# then M delivery uniforms.
+# reads its uniforms from a Philox4x64-10 stream keyed by [s, 0] as uint64,
+# starting at block t*S with S = ceil((M*N + M) / 4), since each block
+# yields four doubles.  It draws M*N coefficient uniforms (row-major), then
+# M delivery uniforms.
+
+def _trial_stride(params: NetworkParams) -> int:
+    return (params.n_relays * params.n_sources + params.n_relays + 3) // 4
+
 
 def trial_rng(params: NetworkParams, seed: int, trial: int) -> np.random.Generator:
     """Generator positioned at trial ``trial``'s substream for ``seed``."""
-    stride = (params.n_relays * params.n_sources + params.n_relays + 3) // 4
     key = np.array([seed, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=trial * stride, key=key))
+    return np.random.Generator(np.random.Philox(counter=trial * _trial_stride(params), key=key))
+
+
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC 2011), in Python ints: the draw contract pinned to
+# the published algorithm rather than to numpy's implementation of it.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments (Weyl)
+_MASK64 = (1 << 64) - 1
+
+
+def philox4x64(counter: int, key: tuple[int, int]) -> list[int]:
+    """The four 64-bit words of the block at a 256-bit ``counter``, least
+    significant word first, after ten rounds; the key is bumped between
+    rounds."""
+    x = [counter >> (64 * i) & _MASK64 for i in range(4)]
+    k0, k1 = key
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        p0, p1 = _PHILOX_M[0] * x[0], _PHILOX_M[1] * x[2]
+        x = [(p1 >> 64) ^ x[1] ^ k0, p1 & _MASK64, (p0 >> 64) ^ x[3] ^ k1, p0 & _MASK64]
+    return x
+
+
+def trial_uniforms(params: NetworkParams, seed: int, trial: int) -> list[float]:
+    """Trial ``trial``'s M*N + M uniforms for ``seed`` by ``philox4x64``:
+    numpy increments the counter before each block, so block k of the
+    stream is the output at counter k + 1, and a word x is the double
+    (x >> 11) * 2^-53."""
+    stride = _trial_stride(params)
+    words = [w for k in range(trial * stride, (trial + 1) * stride)
+             for w in philox4x64(k + 1, (seed, 0))]
+    return [(w >> 11) * 2.0**-53 for w in words[:params.n_relays * (params.n_sources + 1)]]
 
 
 def _coefficient_from_uniform(u: float, eps_sr: float, q: int) -> int:
@@ -433,9 +470,12 @@ def scalar_evaluate_all(params: NetworkParams) -> BoundSet:
     dep_ub = scalar_column_dependence(max(params.eps_sr, spread), n, m)
     dep_lb = scalar_column_dependence(min(params.eps_sr, spread), n, m)
     zerocol = [scalar_zero_column_prob(params, r) for r in range(m + 1)]
-    clamp = lambda x: min(1.0, max(0.0, x))
-    up = clamp(sum(wt * min(dep_ub[r], nulls[r], 1.0) for r, wt in enumerate(pmf)))
-    low = clamp(sum(wt * max(dep_lb[r], zerocol[r]) for r, wt in enumerate(pmf)))
+    # left to right from 0.0: sum() compensates its rounding from Python 3.12 on
+    up = low = 0.0
+    for r, wt in enumerate(pmf):
+        up += wt * min(dep_ub[r], nulls[r], 1.0)
+        low += wt * max(dep_lb[r], zerocol[r])
+    up, low = (min(1.0, max(0.0, x)) for x in (up, low))
     raw = scalar_null_vector_sum(scalar_weight_terms(params, params.eps_rd), m)
     tables = PerDeliveryTables(tuple(pmf), tuple(nulls), tuple(dep_ub),
                                tuple(dep_lb), tuple(zerocol))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import support
 from rlnc_bounds import bounds
 from rlnc_bounds.bounds import NetworkParams, _row_zero_sums_raw, _weight_terms, evaluate_all
 from support import (dependence_frac, lb_old_binomial_form, mu0_frac, scalar_evaluate_all,
@@ -375,6 +376,18 @@ def _bitwise_differences(got, want) -> list[str]:
         if len(g) != len(w) or not all(map(_same_bits, g, w)):
             diffs.append(field.name)
     return diffs
+
+
+def test_mixtures_keep_their_bits_under_a_compensated_sum(monkeypatch):
+    # from Python 3.12 on, sum() of floats compensates its rounding; the
+    # mixtures, and the reference they are compared with, add in order
+    from rlnc_bounds.cli import _PRESETS
+
+    points = [NetworkParams(**kw) for kws in _PRESETS.values() for kw in kws]
+    want = [(evaluate_all(p), scalar_evaluate_all(p)) for p in points]
+    monkeypatch.setattr(bounds, "sum", math.fsum, raising=False)
+    monkeypatch.setattr(support, "sum", math.fsum, raising=False)
+    assert [(evaluate_all(p), scalar_evaluate_all(p)) for p in points] == want
 
 
 def _grid_points():

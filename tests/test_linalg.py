@@ -13,7 +13,6 @@ from support import nullspace_rank, scalar_ops, scalar_rank
 def test_identity_has_full_rank():
     ents = np.eye(3, dtype=int)
     assert rank_batch(make_field(2), ents[None])[0] == 3
-    assert rank_batch(make_field(2), ents[None], target=3)[0] == 3
 
 
 def test_identical_rows_collapse():
@@ -23,13 +22,11 @@ def test_identical_rows_collapse():
 def test_fewer_rows_than_cols_never_decodes():
     f, ents = make_field(4), np.array([[1, 2, 3]])
     assert rank_batch(f, ents[None])[0] == 1
-    assert rank_batch(f, ents[None], target=3)[0] < 3
 
 
 def test_zero_column_never_decodes():
     f, ents = make_field(3), np.array([[1, 0], [2, 0], [1, 0]])
     assert rank_batch(f, ents[None])[0] == 1
-    assert rank_batch(f, ents[None], target=2)[0] < 2
 
 
 def test_empty_matrix():
@@ -41,7 +38,6 @@ def test_input_is_not_mutated():
     ents = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     before = ents.copy()
     rank_batch(f, ents[None])
-    rank_batch(f, ents[None], target=3)
     assert (ents == before).all()
 
 
@@ -59,7 +55,6 @@ def test_rank_matches_nullspace_enumeration():
         ents = rng.integers(0, q, size=(rows, cols))
         want = nullspace_rank(f, [list(map(int, r)) for r in ents], cols)
         assert rank_batch(f, ents[None])[0] == scalar_rank(f, ents, cols) == want
-        assert (rank_batch(f, ents[None], target=cols)[0] == cols) == (want == cols)
 
 
 def test_rank_equals_rank_of_transpose():
@@ -124,26 +119,23 @@ def test_rank_batch_matches_scalar(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 27, 64, 256, 257, 3125, 65536])
 def test_rank_batch_target_decision_agrees(q):
+    # the simulator's decision, rank below the column count, on stacks with
+    # rows to spare, as a destination that hears more relays than sources
     rng = np.random.default_rng(q + 1)
     f = make_field(q)
     for mats in (rng.integers(0, q, size=(200, 6, 4)), _sparse_stack(rng, q, (200, 6, 4))):
-        want = np.array([scalar_rank(f, m, 4) for m in mats])
-        full = rank_batch(f, mats)
-        early = rank_batch(f, mats, target=4)
-        assert (full == want).all()
-        assert ((early < 4) == (want < 4)).all()
-        assert (early[early >= 4] == want[early >= 4]).all()
+        want = [scalar_rank(f, m, 4) for m in mats]
+        assert rank_batch(f, mats).tolist() == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 64, 243, 256, 3125, 65536])
 def test_rank_batch_figure_sized_stacks(q):
-    # sparse stacks, so that matrices leave the working stack part-way through
+    # sparse stacks, so that many matrices miss a pivot part-way through
     rng = np.random.default_rng(q + 2)
     f = make_field(q)
     mats = _sparse_stack(rng, q, (300, 25, 20))
     want = np.array([scalar_rank(f, m, 20) for m in mats])
     assert 0 < (want < 20).sum() < len(mats)
-    assert ((rank_batch(f, mats, target=20) < 20) == (want < 20)).all()
     assert (rank_batch(f, mats) == want).all()
 
 
@@ -176,8 +168,6 @@ def test_bit_sliced_batches_of_any_length(q, nb):
     mats = _sparse_stack(rng, q, (nb, 6, 5))
     want = [scalar_rank(f, m, 5) for m in mats]
     assert rank_batch(f, mats).tolist() == want
-    # over F_2 and GF(4) the target leaves every rank exact
-    assert rank_batch(f, mats, target=5).tolist() == want
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -192,7 +182,6 @@ def test_bit_sliced_ranks_of_wide_short_and_square_stacks(q, shape):
     want = [scalar_rank(f, m, cols) for m in mats]
     assert len(set(want)) > 1
     assert rank_batch(f, mats).tolist() == want
-    assert rank_batch(f, mats, target=cols).tolist() == want
 
 
 def test_rank_batch_empty_batch():

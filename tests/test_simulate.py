@@ -218,10 +218,9 @@ def test_estimates_are_deterministic():
 
 def test_batch_partitioning_does_not_change_the_estimate():
     p = P(3, 6, 4, 0.5, 0.3)
-    a = estimate_pfail(p, trials=3000, seed=5, batch_size=4096)
-    b = estimate_pfail(p, trials=3000, seed=5, batch_size=7)
-    c = estimate_pfail(p, trials=3000, seed=5, batch_size=1000)
-    assert a == b == c
+    a, b, c = (estimate_pfail(p, 3000, 5, simulate.TrialDraws(3, 6, 3000, 5, batch_size=k))
+               for k in (4096, 7, 1000))
+    assert a == b == c == estimate_pfail(p, 3000, 5)
 
 
 def test_the_uniforms_cap_bounds_every_draw_and_keeps_the_counts(monkeypatch, draw_sizes):
@@ -238,10 +237,10 @@ def test_a_group_shares_the_batches_of_its_first_batch_trials_only(draw_sizes):
     # batches within BATCH_TRIALS are drawn once for both points, the last
     # one once for each
     points = (P(3, 6, 4, 0.5, 0.3), P(3, 6, 2, 0.2, 0.1))
-    want = [estimate_pfail(p, 5000, 5, 1024) for p in points]
+    want = [estimate_pfail(p, 5000, 5) for p in points]
     draw_sizes.clear()
     draws = simulate.TrialDraws(3, 6, 5000, 5, 1024, readers=2)
-    assert [estimate_pfail(p, 5000, 5, 1024, draws) for p in points] == want
+    assert [estimate_pfail(p, 5000, 5, draws) for p in points] == want
     assert draw_sizes == [1024 * 24] * 4 + [904 * 24] * 2
     assert not draws._open  # every batch is dropped once both points read it
 
@@ -252,14 +251,14 @@ def test_many_threads_reading_one_group_draw_each_batch_once(draw_sizes):
     # hand a point another batch's uniforms
     points = [P(3, 6, q, esr, erd) for q in (2, 4) for esr in (0.2, 0.6)
               for erd in (0.1, 0.3)]
-    want = [estimate_pfail(p, 3000, 7, 256) for p in points]
+    want = [estimate_pfail(p, 3000, 7) for p in points]
     draw_sizes.clear()
     draws = simulate.TrialDraws(3, 6, 3000, 7, 256, readers=len(points))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=len(points)) as pool:
-            futures = [pool.submit(estimate_pfail, p, 3000, 7, 256, draws) for p in points]
+            futures = [pool.submit(estimate_pfail, p, 3000, 7, draws) for p in points]
             got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -268,13 +267,21 @@ def test_many_threads_reading_one_group_draw_each_batch_once(draw_sizes):
     assert not draws._open
 
 
-@pytest.mark.parametrize("key", [(3, 6, 600, 5, 256), (3, 5, 601, 5, 256),
-                                 (3, 5, 600, 6, 256), (3, 5, 600, 5, 255)],
-                         ids=["size", "trials", "seed", "batch"])
+@pytest.mark.parametrize("key", [(3, 6, 600, 5), (3, 5, 601, 5), (3, 5, 600, 6)],
+                         ids=["size", "trials", "seed"])
 def test_draws_made_for_another_group_are_refused(key):
     draws = simulate.TrialDraws(*key)
     with pytest.raises(ValueError, match="draws made for"):
-        estimate_pfail(P(3, 5, 4, 0.3, 0.2), 600, 5, 256, draws)
+        estimate_pfail(P(3, 5, 4, 0.3, 0.2), 600, 5, draws)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 1, 2**64 - 1])
+def test_a_pure_python_philox_replays_the_draws(seed):
+    # the documented contract, Philox4x64-10 from its paper, against numpy's
+    p = P(2, 3, 4, 0.3, 0.2)  # 9 uniforms a trial, in a window of 3 blocks
+    for t in (0, 1, 7, 2**20):
+        want = trial_rng(p, seed, t).random(9).tolist()
+        assert support.trial_uniforms(p, seed, t) == want, t
 
 
 def test_batched_estimator_equals_per_trial_sampling():
@@ -294,7 +301,19 @@ def test_trials_must_be_positive():
 
 def test_batch_size_must_be_positive():
     with pytest.raises(ValueError, match="batch_size"):
-        estimate_pfail(P(1, 1, 2, 0.5, 0.5), trials=10, batch_size=0)
+        simulate.TrialDraws(1, 1, 10, batch_size=0)
+
+
+@pytest.mark.parametrize("kw", [{"seed": 1.5}, {"seed": True}, {"seed": 2.0**40},
+                                {"trials": 2000.0}, {"trials": True}, {"trials": np.int64(5)}],
+                         ids=["seed-fraction", "seed-bool", "seed-float", "trials-float",
+                              "trials-bool", "trials-numpy"])
+def test_seeds_and_trial_counts_must_be_ints(kw):
+    # a float seed would run another seed's stream than the one it reports,
+    # and a float trial count would end in range()'s TypeError
+    args = {"trials": 2000, "seed": 0, **kw}
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        estimate_pfail(P(3, 5, 2, 0.3, 0.1), **args)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
