@@ -39,6 +39,18 @@ Blocks hold at most ``_BLOCK`` exponents, which bounds the temporaries.  The
 column-dependence bounds add N log1p terms over a sliding window for each
 r; all windows are added at once, one float64 slice a term, from +0.0 as
 the scalar loop does.
+
+Of the per-count tables only ``delivery_pmf`` depends on M or eps_rd; the
+other four depend on (N, q, eps_sr) alone, and each entry on its own r
+alone.  So :func:`evaluate_all` keeps them for the last (N, q, eps_sr) it
+evaluated, for r = 0..R: a point with the same key slices them if M <= R,
+or computes r = R+1..M only and appends those, and any other key replaces
+them.  Extending a table cannot change a bit, and a relay or eps_rd sweep
+builds each table once.  The key holds eps_sr's bits (``float.hex``), not
+its value, since 0.0 == -0.0 but the two give zeros of opposite signs in
+``zero_column_prob``; an eps_sr that is not a float is not kept.  Key and
+tables are one tuple, read once and rebound once, so that concurrent
+callers never pair one key with another key's tables.
 """
 
 from __future__ import annotations
@@ -137,17 +149,18 @@ def _series_sums(x: np.ndarray) -> list[float]:
         return np.add.accumulate(terms, out=terms)[-1].tolist()
 
 
-def _null_vector_sums(prefix: np.ndarray, log_gammas: np.ndarray, head: np.ndarray,
-                      m: int) -> list[float]:
-    """The series of ``_weight_terms``: the expected count of projective
-    nonzero null vectors of the classic bound's coding matrix of M rows, then
-    of a matrix of r rows for r = 0..m, at least 1 whenever r < N."""
+def _null_vector_sums(prefix: np.ndarray, log_gammas: np.ndarray, first: np.ndarray,
+                      lo: int, hi: int) -> list[float]:
+    """The series of ``_weight_terms``: the sums of the whole-series columns
+    ``first``, which ride in the first block, then the expected count of
+    projective nonzero null vectors of a matrix of r rows for r = lo..hi
+    (lo >= 1), at least 1 whenever r < N."""
     step = max(1, _BLOCK // len(prefix))
     sums = []
-    for start in range(1, m + 1, step):
-        x = prefix + log_gammas * np.arange(start, min(start + step, m + 1), dtype=float)
-        sums += _series_sums(np.concatenate((head, x), axis=1) if start == 1 else x)
-    return sums
+    for start in range(lo, hi + 1, step):
+        x = prefix + log_gammas * np.arange(start, min(start + step, hi + 1), dtype=float)
+        sums += _series_sums(np.concatenate((first, x), axis=1) if start == lo else x)
+    return sums or _series_sums(first)
 
 
 def _delivery_pmf(m: int, eps_rd: float) -> list[float]:
@@ -172,30 +185,66 @@ def _lb_old(params: NetworkParams) -> float:
     return _any_of(params.n_sources, eff**params.n_relays)
 
 
-def _column_dependence(betas: tuple[float, ...], n: int, m: int) -> list[list[float]]:
-    """Column-by-column bound on rank deficiency at r = 0..m delivered rows,
+def _column_dependence(betas: tuple[float, ...], n: int, lo: int, hi: int) -> list[list[float]]:
+    """Column-by-column bound on rank deficiency at r = lo..hi delivered rows,
     1 - prod_{i=1..N} (1 - beta^(r-i+1)), for each single-symbol probability
     ``beta``.  Exactly 1 whenever r < N, where a zero-exponent factor kills
     the product; 0^0 = 1 throughout."""
-    if m < n:  # every window holds the zero exponent
-        return [[1.0] * (m + 1) for _ in betas]
-    # log1p(-beta^k) for k = 0..m, one column per beta; -inf where beta^k = 1
+    ones = [1.0] * max(0, min(n, hi + 1) - lo)
+    first = max(lo, n)  # the first r whose window holds no zero exponent
+    if first > hi:
+        return [ones[:] for _ in betas]
+    # log1p(-beta^k) for the exponents k = first - N + 1..hi that the windows
+    # read, one column per beta; -inf where beta^k = 1
+    base = first - n + 1
     logs = np.array([math.log1p(-p) if (p := beta**k) < 1.0 else -math.inf
-                     for k in range(m + 1) for beta in betas]).reshape(m + 1, len(betas))
-    # for every r >= N at once, add the exponents r, r - 1, .., r - N + 1 in
-    # turn, from +0.0
-    logprod = logs[n:] + 0.0
+                     for k in range(base, hi + 1) for beta in betas]).reshape(-1, len(betas))
+    # for every r >= first at once, add the exponents r, r - 1, .., r - N + 1
+    # in turn, from +0.0
+    logprod = logs[n - 1:] + 0.0
     for i in range(1, n):
-        logprod += logs[n - i:m + 1 - i]
-    ones = [1.0] * n
+        logprod += logs[n - 1 - i:len(logs) - i]
     return [ones + [-math.expm1(s) for s in col] for col in logprod.T.tolist()]
 
 
-def _zero_column_probs(params: NetworkParams) -> list[float]:
+def _zero_column_probs(n: int, eps_sr: float, lo: int, hi: int) -> list[float]:
     """Probability that at least one source column is all-zero among r
-    delivered rows, 1 - (1 - eps_sr^r)^N, for r = 0..M."""
-    return [_any_of(params.n_sources, params.eps_sr**r)  # 0^0 = 1
-            for r in range(params.n_relays + 1)]
+    delivered rows, 1 - (1 - eps_sr^r)^N, for r = lo..hi."""
+    return [_any_of(n, eps_sr**r) for r in range(lo, hi + 1)]  # 0^0 = 1
+
+
+# The per-count tables of the last (N, q, eps_sr) evaluated, for r = 0..R, as
+# one (key, (expected_null_vectors, dependence_ub, dependence_lb,
+# zero_column_prob)) tuple; read once and rebound once, so that a caller never
+# pairs one key with another key's tables
+_last_tables: tuple = (None, ())
+
+
+def _per_count_tables(params: NetworkParams, prefix: np.ndarray, log_gammas: np.ndarray,
+                      head: np.ndarray) -> tuple[float, tuple[tuple[float, ...], ...]]:
+    """The classic bound's series (``ub_old_raw``) and the four per-count
+    tables for r = 0..M, reusing those of the previous call where it had the
+    same (N, q, eps_sr): sliced if it reached M, extended by r = R+1..M if it
+    reached only R."""
+    global _last_tables
+    n, m, q, eps = params.n_sources, params.n_relays, params.q, params.eps_sr
+    # the float's bits: 0.0 and -0.0 give zeros of different signs
+    key = (n, q, eps.hex()) if type(eps) is float else None
+    last_key, stored = _last_tables
+    lo = len(stored[0]) if key is not None and key == last_key else 0
+    # from r = 0 the r = 0 column rides along too, since r * log 0 would be nan
+    raw, *nulls = _null_vector_sums(prefix, log_gammas, head if lo == 0 else head[:, :1],
+                                    max(lo, 1), m)
+    if lo > m:
+        return raw, tuple(t[:m + 1] for t in stored)
+    spread = (1.0 - eps) / (q - 1)
+    dep_ub, dep_lb = _column_dependence((max(eps, spread), min(eps, spread)), n, lo, m)
+    tables = tuple(map(tuple, (nulls, dep_ub, dep_lb, _zero_column_probs(n, eps, lo, m))))
+    if lo:
+        tables = tuple(old + new for old, new in zip(stored, tables))
+    if key is not None:
+        _last_tables = (key, tables)
+    return raw, tables
 
 
 @dataclass(frozen=True)
@@ -242,7 +291,9 @@ class BoundSet:
 
 
 def evaluate_all(params: NetworkParams) -> BoundSet:
-    """Evaluate every bound, sharing the per-weight and per-count tables.
+    """Evaluate every bound, sharing the per-weight and per-count tables,
+    and reusing the latter across calls with the same (N, q, eps_sr) (see
+    the module docstring).
 
     The sharpened bounds mix per-delivered-count terms under the binomial
     delivery distribution.  For ``ub_new`` each term is the smaller of the
@@ -254,21 +305,15 @@ def evaluate_all(params: NetworkParams) -> BoundSet:
     probability.  The classic ``ub_old`` is the null-vector series of M
     rows, each erased with probability eps_rd.
     """
-    n, m = params.n_sources, params.n_relays
-    spread = (1.0 - params.eps_sr) / (params.q - 1)
+    m = params.n_relays
     pmf = _delivery_pmf(m, params.eps_rd)
-    raw, *nulls = _null_vector_sums(*_weight_terms(params), m)
-    dep_ub, dep_lb = _column_dependence((max(params.eps_sr, spread),
-                                         min(params.eps_sr, spread)), n, m)
-    zerocol = _zero_column_probs(params)
-
+    raw, tables = _per_count_tables(params, *_weight_terms(params))
+    nulls, dep_ub, dep_lb, zerocol = tables
     up = low = 0.0  # added in order: sum() compensates its rounding from Python 3.12 on
     for wt, du, v, dl, z in zip(pmf, dep_ub, nulls, dep_lb, zerocol):
         up += wt * min(du, v, 1.0)
         low += wt * max(dl, z)
     up, low = (min(1.0, max(0.0, x)) for x in (up, low))
-    tables = PerDeliveryTables(tuple(pmf), tuple(nulls), tuple(dep_ub),
-                               tuple(dep_lb), tuple(zerocol))
     return BoundSet(params=params, mu0=nulls[m], lb_old=_lb_old(params), lb_new=low,
                     ub_new=up, ub_old_clamped=min(1.0, raw), ub_old_raw=raw,
-                    tables=tables)
+                    tables=PerDeliveryTables(tuple(pmf), *tables))

@@ -38,8 +38,11 @@ _MASK64 = (1 << 64) - 1
 
 STATE_SPACE_LIMIT = 10**8
 
-# Matrices per rank_batch call in the oracle; bigger chunks buy speed with peak memory.
-_ORACLE_CHUNK = 1024
+# Matrices per rank_batch call in the oracle; bigger chunks buy speed with peak
+# memory.  On the benchmark's four exact instances 1024 took 41-71 ms, 2048
+# 31-47 ms and 4096 27-40 ms, but 4096 raised a bounds-and-oracle run's peak
+# RSS by 0.1 MB, and 16384 by 1 MB.
+_ORACLE_CHUNK = 2048
 
 # Default trials per simulator batch.  Larger batches measured 10-45% slower
 # on the figure presets; concurrent callers split it, so that the trials in
@@ -126,8 +129,9 @@ class TrialDraws:
                  batch_size: int = BATCH_TRIALS, readers: int = 1):
         if type(trials) is not int or trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        for name, value in (("batch_size", batch_size), ("readers", readers)):
+            if type(value) is not int or value < 1:  # bool is an int subclass
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         check_seed(seed)
         self.key = (n_sources, n_relays, trials, seed)
         self._stride = -(-(n_relays * n_sources + n_relays) // 4)

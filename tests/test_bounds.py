@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -430,9 +432,86 @@ def test_array_evaluation_equals_the_scalar_loops_bit_for_bit():
 @pytest.mark.parametrize("block", [1, 3, 50])
 def test_block_size_changes_no_bit(monkeypatch, block):
     monkeypatch.setattr(bounds, "_BLOCK", block)
+    monkeypatch.setattr(bounds, "_last_tables", (None, ()))  # every table built here
     for p in (NetworkParams(7, 21, 64, 0.3, 0.1), NetworkParams(20, 25, 4, 0.0, 0.1),
               NetworkParams(50, 80, 2**31 - 1, 0.9, 0.0)):
         assert _bitwise_differences(evaluate_all(p), scalar_evaluate_all(p)) == [], p
+
+
+# ---------------------------------------------------------------------------
+# per-count tables reused across the points of a sweep
+
+RELAY_SWEEP = [NetworkParams(200, m, 64, 0.3, 0.1) for m in range(200, 601, 40)]
+EPS_RD_SWEEP = [NetworkParams(20, 25, 4, 0.3, e) for e in (0.0, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0)]
+
+
+@pytest.mark.parametrize("sweep", [RELAY_SWEEP, EPS_RD_SWEEP], ids=["relays", "eps_rd"])
+def test_reused_tables_keep_every_bit_in_any_order(monkeypatch, sweep):
+    want = {p: scalar_evaluate_all(p) for p in sweep}
+    shuffled = sweep[:]
+    np.random.default_rng(7).shuffle(shuffled)
+    for order in (sweep, sweep[::-1], shuffled):
+        monkeypatch.setattr(bounds, "_last_tables", (None, ()))
+        for p in order:
+            assert _bitwise_differences(evaluate_all(p), want[p]) == [], p
+
+
+@pytest.mark.parametrize("signs", [(0.0, -0.0), (-0.0, 0.0)])
+def test_zero_and_negative_zero_keep_their_own_tables(signs):
+    # equal as values, but the zero-column terms at odd r take eps_sr's sign
+    for esr in signs:
+        for m in (3, 5):
+            p = NetworkParams(3, m, 4, esr, 0.1)
+            bs = evaluate_all(p)
+            assert _bitwise_differences(bs, scalar_evaluate_all(p)) == [], p
+        got = [math.copysign(1.0, z) for z in bs.tables.zero_column_prob]
+        assert got == ([1.0] * 6 if math.copysign(1.0, esr) > 0 else [1.0, -1.0] * 3)
+
+
+def test_concurrent_callers_get_their_own_tables():
+    keys = ([NetworkParams(20, m, 64, 0.3, 0.1) for m in (25, 40, 21, 60, 30)],
+            [NetworkParams(20, m, 64, 0.4, 0.1) for m in (60, 22, 45, 25, 50)])
+    want = {p: scalar_evaluate_all(p) for ps in keys for p in ps}
+    diffs, done = [], []
+
+    def run(points):
+        for _ in range(100):
+            for p in points:
+                diffs.extend((p, d) for d in _bitwise_differences(evaluate_all(p), want[p]))
+                done.append(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter over as often as it can
+    try:
+        threads = [threading.Thread(target=run, args=(ps,)) for ps in keys]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert diffs == [] and len(done) == 2 * 100 * 5
+
+
+def test_a_relay_sweep_builds_each_count_once(monkeypatch):
+    # M = 200..600 in steps of 40: one column per r = 0..600, plus the classic
+    # bound's column at each of the 11 points
+    columns = []
+    series_sums = bounds._series_sums
+
+    def counted(x):
+        columns.append(x.shape[1])
+        return series_sums(x)
+
+    monkeypatch.setattr(bounds, "_series_sums", counted)
+    monkeypatch.setattr(bounds, "_last_tables", (None, ()))
+    for p in RELAY_SWEEP:
+        evaluate_all(p)
+    assert sum(columns) == 601 + len(RELAY_SWEEP)
+    columns.clear()
+    for p in RELAY_SWEEP[::-1]:  # every table now within reach: the classic columns only
+        evaluate_all(p)
+    assert columns == [1] * len(RELAY_SWEEP)
 
 
 def test_accumulate_adds_along_an_axis_left_to_right():

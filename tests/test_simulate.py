@@ -304,6 +304,17 @@ def test_batch_size_must_be_positive():
         simulate.TrialDraws(1, 1, 10, batch_size=0)
 
 
+@pytest.mark.parametrize("kw", [{"batch_size": 2.5}, {"batch_size": True}, {"readers": 0},
+                                {"readers": 2.0}],
+                         ids=["batch_size-float", "batch_size-bool", "readers-zero",
+                              "readers-float"])
+def test_draw_groups_reject_bad_batch_sizes_and_reader_counts(kw):
+    # a float batch size would end in range()'s TypeError, and with no readers
+    # a shared batch would stay open for the group's lifetime
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        simulate.TrialDraws(2, 3, 100, 1, **kw)
+
+
 @pytest.mark.parametrize("kw", [{"seed": 1.5}, {"seed": True}, {"seed": 2.0**40},
                                 {"trials": 2000.0}, {"trials": True}, {"trials": np.int64(5)}],
                          ids=["seed-fraction", "seed-bool", "seed-float", "trials-float",
