@@ -48,14 +48,16 @@ or computes r = R+1..M only and appends those, and any other key replaces
 them.  Extending a table cannot change a bit, and a relay or eps_rd sweep
 builds each table once.  The key holds eps_sr's bits (``float.hex``), not
 its value, since 0.0 == -0.0 but the two give zeros of opposite signs in
-``zero_column_prob``; an eps_sr that is not a float is not kept.  Key and
-tables are one tuple, read once and rebound once, so that concurrent
-callers never pair one key with another key's tables.
+``zero_column_prob`` (:class:`NetworkParams` stores eps_sr as a float, so
+an int 0 is +0.0).  Key and tables are one tuple, read once and rebound
+once, so that concurrent callers never pair one key with another key's
+tables.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -95,10 +97,16 @@ class NetworkParams:
             raise ValueError("n_relays must be >= 1")
         if _prime_power(self.q) is None:
             raise ValueError(f"field order must be a prime power, got {self.q}")
+        # stored as floats: the bounds and the oracle read the float's value,
+        # and 0 and 0.0 must give the same bits
         for name in ("eps_sr", "eps_rd"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            v = float(v)
+            if not 0.0 <= v <= 1.0:  # NaN too
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            object.__setattr__(self, name, v)
 
 
 def _row_zero_sums_raw(params: NetworkParams) -> list[float]:
@@ -229,9 +237,9 @@ def _per_count_tables(params: NetworkParams, prefix: np.ndarray, log_gammas: np.
     global _last_tables
     n, m, q, eps = params.n_sources, params.n_relays, params.q, params.eps_sr
     # the float's bits: 0.0 and -0.0 give zeros of different signs
-    key = (n, q, eps.hex()) if type(eps) is float else None
+    key = (n, q, eps.hex())
     last_key, stored = _last_tables
-    lo = len(stored[0]) if key is not None and key == last_key else 0
+    lo = len(stored[0]) if key == last_key else 0
     # from r = 0 the r = 0 column rides along too, since r * log 0 would be nan
     raw, *nulls = _null_vector_sums(prefix, log_gammas, head if lo == 0 else head[:, :1],
                                     max(lo, 1), m)
@@ -242,8 +250,7 @@ def _per_count_tables(params: NetworkParams, prefix: np.ndarray, log_gammas: np.
     tables = tuple(map(tuple, (nulls, dep_ub, dep_lb, _zero_column_probs(n, eps, lo, m))))
     if lo:
         tables = tuple(old + new for old, new in zip(stored, tables))
-    if key is not None:
-        _last_tables = (key, tables)
+    _last_tables = (key, tables)
     return raw, tables
 
 

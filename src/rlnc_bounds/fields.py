@@ -170,15 +170,25 @@ def _build_log_tables(q: int, p: int, m: int, poly):
     gen = next(g for g in range(1, q)
                if all((_mat_pow(matrix(g), order // f, p) != one).any() for f in factors))
 
-    # digits of g^0, ..., g^(k-1), then g^k, ..., g^(2k-1) as those times g^k
-    powers = np.zeros((1 << order.bit_length(), m), dtype=np.int64)
+    # digits of g^0, ..., g^(k-1), then g^k, ..., g^(2k-1) as those times g^k.
+    # Fields with uint16 entries take the products in float64, whose matmul
+    # is BLAS (int64's is not), and exact here: an entry is at most
+    # m (p - 1)^2 < 2^33, and its quotient by p < 2^16, rounded, is within
+    # 2^-20 of the true one, so its floor is the true floor.  Smaller fields
+    # stay in int64: the first BLAS call maps a work buffer that raised peak
+    # memory by 0.6 MB, to save well under a millisecond there.
+    wide = q > 256
+    powers = np.zeros((1 << order.bit_length(), m), dtype=np.float64 if wide else np.int64)
     powers[0, 0] = 1
     step, k = matrix(gen), 1
     while k < len(powers):
         block = np.matmul(powers[:k], step, out=powers[k:2 * k])
-        np.remainder(block, p, out=block)
+        if wide:
+            block -= np.floor(block / p) * p
+        else:
+            np.remainder(block, p, out=block)
         step, k = step @ step % p, 2 * k
-    powers = powers[:q] @ p ** np.arange(m)
+    powers = (powers[:q] @ p ** np.arange(m)).astype(np.int64)
     if powers[order] != 1:
         raise AssertionError("generator order mismatch")
     zero = 3 * order

@@ -1,5 +1,5 @@
 """Seeded Monte Carlo estimation of the decoding-failure probability, plus
-an exact exhaustive oracle for tiny instances.
+an exact oracle for tiny instances.
 
 Reproducibility scheme: every trial owns a fixed, disjoint window of a
 Philox4x64-10 stream keyed by the master seed.  Trial t reads its
@@ -18,6 +18,21 @@ sweep that share (N, M) read the same uniforms.  A :class:`TrialDraws` holds
 one such group: each batch is drawn once, and every point of the group maps
 its own coefficients and delivery mask from it.
 The contract above is unchanged, so sharing cannot move a failure count.
+
+The exact oracle sums over the subspaces V of F_q^N, not over coefficient
+matrices.  Delivered rows are i.i.d., a row v having probability
+eps_sr^zeros(v) ((1 - eps_sr)/(q - 1))^(N - zeros(v)), so r rows all lie in
+V with probability A_V^r, A_V being the mass of V.  Summing the probability
+that the rows span exactly W over the W inside V gives A_V^r; Moebius
+inversion on the subspace lattice (Stanley, Enumerative Combinatorics I,
+section 3.10) turns this around, and the rows span F_q^N with probability
+sum_V mu(V) A_V^r, where mu(V) = (-1)^d q^C(d, 2) for V of codimension d.
+A_V depends on V only through its zero-count enumerator, so each enumerator
+carries its summed mu, one table per (q, N) whatever eps_sr, M or eps_rd.
+Everything after the table is ``Fraction`` arithmetic on the exact values
+of the stored floats, so the result is the same rational as a sum over
+every (matrix, erasure pattern) configuration; only its cost differs:
+#subspaces x q^N rank tests once per (q, N), against q^(rN) for each r.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -37,12 +53,6 @@ from .linalg import rank_batch
 _MASK64 = (1 << 64) - 1
 
 STATE_SPACE_LIMIT = 10**8
-
-# Matrices per rank_batch call in the oracle; bigger chunks buy speed with peak
-# memory.  On the benchmark's four exact instances 1024 took 41-71 ms, 2048
-# 31-47 ms and 4096 27-40 ms, but 4096 raised a bounds-and-oracle run's peak
-# RSS by 0.1 MB, and 16384 by 1 MB.
-_ORACLE_CHUNK = 2048
 
 # Default trials per simulator batch.  Larger batches measured 10-45% slower
 # on the figure presets; concurrent callers split it, so that the trials in
@@ -75,7 +85,9 @@ class SimEstimate:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact failure probability from total enumeration of the model."""
+    """Exact failure probability; ``state_count`` is q^(MN) 2^M, the size of
+    the configuration space (coefficient matrix, erasure pattern) that the
+    result is exact over."""
 
     params: NetworkParams
     p_fail: float
@@ -206,34 +218,86 @@ def estimate_pfail(params: NetworkParams, trials: int, seed: int = 0,
                        ci_high=min(1.0, est + 4.0 * sigma), seed=seed)
 
 
+def _base_q_digits(count: int, q: int, length: int) -> np.ndarray:
+    """The ``length`` lowest base-q digits of 0..count-1, as (count, length)
+    field entries."""
+    index = np.arange(count, dtype=np.int64)
+    out = np.empty((count, length), dtype=entry_dtype(q))
+    for k in range(length):
+        index, out[:, k] = np.divmod(index, q)
+    return out
+
+
+def _subspaces(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dimension k and the zero-count enumerator of every subspace V of
+    F_q^n, as (S,) and (S, n + 1) arrays; entry z of an enumerator counts the
+    vectors of V with z zero coordinates.
+
+    Each V is found once, as its reduced row echelon basis: k pivot columns,
+    a 1 at each row's pivot, and any entries in the non-pivot columns right
+    of it.  A vector v lies in V exactly when the basis, padded with zero
+    rows to n, stacked on v has rank k; one ``rank_batch`` call decides this
+    for every V other than {0} and F_q^n and every v, at most #subspaces x
+    q^n matrices of (n + 1) x n."""
+    dt = entry_dtype(q)
+    bases, dims = [], []
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [(i, c) for i, p in enumerate(pivots)
+                    for c in range(p + 1, n) if c not in pivots]
+            block = np.zeros((q ** len(free), n, n), dtype=dt)
+            block[:, np.arange(k), np.array(pivots, dtype=np.intp)] = 1
+            if free:
+                rows, cols = zip(*free)
+                block[:, rows, cols] = _base_q_digits(len(block), q, len(free))
+            bases.append(block)
+            dims += [k] * len(block)
+    bases, dims = np.concatenate(bases), np.array(dims)
+    vectors = _base_q_digits(q**n, q, n)  # vectors[0] = 0
+    # {0} and F_q^n need no rank: they hold the zero vector and every vector
+    member = np.zeros((len(bases), len(vectors)), dtype=bool)
+    member[dims == 0, 0] = True
+    member[dims == n] = True
+    proper = (0 < dims) & (dims < n)
+    if proper.any():
+        stack = np.empty((proper.sum(), len(vectors), n + 1, n), dtype=dt)
+        stack[:, :, :n] = bases[proper, None]
+        stack[:, :, n] = vectors
+        ranks = rank_batch(make_field(q), stack.reshape(-1, n + 1, n))
+        member[proper] = ranks.reshape(len(stack), len(vectors)) == dims[proper, None]
+    zeros = (vectors == 0).sum(axis=1)
+    enumerators = np.stack([(member & (zeros == z)).sum(axis=1) for z in range(n + 1)],
+                           axis=1)
+    return dims, enumerators
+
+
 @lru_cache(maxsize=None)
-def _singular_zero_counts(q: int, cols: int, rows: int) -> tuple[int, ...]:
-    """Histogram over zero-entry counts of the rank-deficient rows x cols
-    matrices over F_q, by full enumeration."""
-    f = make_field(q)
-    size = rows * cols
-    hist = np.zeros(size + 1, dtype=np.int64)
-    total = q**size
-    for start in range(0, total, _ORACLE_CHUNK):
-        index = np.arange(start, min(start + _ORACLE_CHUNK, total), dtype=np.int64)
-        ents = np.empty((index.size, size), dtype=entry_dtype(q))
-        for k in range(size):  # base-q digits of the matrix index
-            index, ents[:, k] = np.divmod(index, q)
-        # the chunk length, not -1, so that rows = 0 still reshapes
-        ranks = rank_batch(f, ents.reshape(len(ents), rows, cols))
-        zeros = (ents[ranks < cols] == 0).sum(axis=1)
-        hist += np.bincount(zeros, minlength=size + 1)
-    return tuple(int(c) for c in hist)
+def _mobius_classes(q: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(enumerator, summed Moebius value) for each zero-count enumerator
+    that some subspace of F_q^n has, those summing to 0 left out.  A
+    subspace of dimension k has mu(V, F_q^n) = (-1)^d q^C(d, 2), d = n - k."""
+    dims, enumerators = _subspaces(q, n)
+    table: dict[tuple[int, ...], int] = {}
+    for k, enum in zip(dims.tolist(), map(tuple, enumerators.tolist())):
+        d = n - k
+        table[enum] = table.get(enum, 0) + (-1) ** d * q ** (d * (d - 1) // 2)
+    return tuple((enum, mu) for enum, mu in table.items() if mu)
 
 
 def exact_pfail(params: NetworkParams) -> ExactResult:
-    """Exact failure probability by enumerating the whole model.
+    """Exact failure probability of the model, in rational arithmetic.
 
-    Sums the exact rational mass of every (coefficient matrix, erasure
-    pattern) configuration whose delivered rows have deficient rank.
-    Patterns with the same number of delivered rows share one matrix
-    enumeration; the erasure probabilities enter as exact fractions of the
-    given floats, so the result is exact for the parameters as stored.
+    The erasure probabilities enter as the exact fractions of the given
+    floats, so the result is exact for the parameters as stored.  With r
+    rows delivered, the destination fails unless they span F_q^N, so
+    P(fail | r) = 1 for r < N, and for r >= N, by Moebius inversion over the
+    subspaces V of F_q^N (see the module docstring),
+
+        P(fail | r) = 1 - sum_V mu(V) A_V^r.
+
+    The total mixes these over the Binomial(M, 1 - eps_rd) delivered count.
+    The guard refuses instances whose ``state_count`` exceeds
+    STATE_SPACE_LIMIT.
     """
     n, m, q = params.n_sources, params.n_relays, params.q
     # judged by its logarithm first, so that a refused instance never builds
@@ -248,10 +312,12 @@ def exact_pfail(params: NetworkParams) -> ExactResult:
     esr = Fraction(params.eps_sr)
     erd = Fraction(params.eps_rd)
     nonzero_mass = (1 - esr) / (q - 1)
+    # (mu, A_V) per class; with M < N every r < N, and the table is not built
+    classes = [(mu, sum(cnt * esr**z * nonzero_mass ** (n - z)
+                        for z, cnt in enumerate(enum) if cnt))
+               for enum, mu in (_mobius_classes(q, n) if m >= n else ())]
     total = Fraction(0)
     for r in range(m + 1):
-        hist = _singular_zero_counts(q, n, r)
-        fail_r = sum(cnt * esr**z * nonzero_mass ** (r * n - z)
-                     for z, cnt in enumerate(hist) if cnt)
+        fail_r = 1 if r < n else 1 - sum(mu * a**r for mu, a in classes)
         total += math.comb(m, r) * (1 - erd) ** r * erd ** (m - r) * fail_r
     return ExactResult(params=params, p_fail=float(total), state_count=state_count)

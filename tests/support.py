@@ -7,7 +7,8 @@ probabilities from exact rational arithmetic, second forms of the
 closed-form bounds or the exact closed form for uniform coefficients,
 simulated draws from one trial at a time (through numpy's Philox, and a
 pure-Python Philox to check it against), and the tiny-instance failure
-probability from enumerating the full joint (matrix, erasure-pattern)
+probability from enumerating every matrix of each delivered count
+(``singular_zero_counts``) or the full joint (matrix, erasure-pattern)
 space.  The one exception is the bitwise reference for the bound tables,
 which adds their series one term at a time in Python floats and reads
 only gamma_w's raw formula and ``lb_old`` from the library.
@@ -517,6 +518,26 @@ def ub_old_frac(n: int, m: int, q: int, eps_sr: Fraction, eps_rd: Fraction) -> F
     return sum(comb(n, w) * (q - 1) ** w
                * (eps_rd + (1 - eps_rd) * gamma_frac(q, eps_sr, w)) ** m
                for w in range(1, n + 1)) / Fraction(q - 1)
+
+
+def singular_zero_counts(field: FieldSpec, cols: int, rows: int) -> tuple[int, ...]:
+    """Histogram over zero-entry counts of the rank-deficient rows x cols
+    matrices over the field, by enumerating every matrix."""
+    hist = [0] * (rows * cols + 1)
+    for ent in product(range(field.q), repeat=rows * cols):
+        mat = [ent[i * cols:(i + 1) * cols] for i in range(rows)]
+        if scalar_rank(field, mat, cols) < cols:
+            hist[ent.count(0)] += 1
+    return tuple(hist)
+
+
+def pfail_from_zero_counts(hist: tuple[int, ...], q: int, eps_sr: Fraction) -> Fraction:
+    """P(fail | r) from :func:`singular_zero_counts`: each deficient matrix
+    weighs eps_sr^zeros ((1 - eps_sr)/(q - 1))^nonzeros."""
+    nz = (1 - eps_sr) / (q - 1)
+    size = len(hist) - 1
+    return sum((cnt * eps_sr**z * nz ** (size - z) for z, cnt in enumerate(hist) if cnt),
+               Fraction(0))
 
 
 def exact_pfail_full_joint(field: FieldSpec, n: int, m: int,

@@ -49,6 +49,7 @@ from rlnc_bounds.bounds import BoundSet, NetworkParams, evaluate_all
 from rlnc_bounds.cli import _EPS_SR_GRID, _PRESETS, _simulate_points, main
 from rlnc_bounds.fields import make_field
 from rlnc_bounds.linalg import rank_batch
+from rlnc_bounds import simulate
 from rlnc_bounds.simulate import exact_pfail
 from support import (binom_ge, binom_le, check_field_axioms, nullspace_rank,
                      ub_old_binomial_form, ub_old_frac, uniform_pfail)
@@ -120,6 +121,30 @@ def test_criterion_1_oracle_sandwich():
     _report("criterion 1 (exact oracle sandwiched by the new bounds)", failures, total)
 
 
+def test_criterion_1_oracle_sandwich_past_the_guard(monkeypatch):
+    # the oracle's cost does not grow with M, so with its guard lifted it
+    # reaches relay sweeps M = N..3N; the classic lower bound is checked too
+    # (see criterion 5)
+    monkeypatch.setattr(simulate, "STATE_SPACE_LIMIT", 10**100)
+    failures, total = [], 0
+    for q in (2, 3, 4, 5):
+        for n in range(1, (4 if q < 4 else 3) + 1):
+            for m in range(n, 3 * n + 1):
+                for esr in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1 / q):
+                    for erd in (0.0, 0.1, 0.5):
+                        p = NetworkParams(n, m, q, esr, erd)
+                        ex = exact_pfail(p).p_fail
+                        bs = evaluate_all(p)
+                        total += 1
+                        if not (bs.lb_new - 1e-12 <= ex <= bs.ub_new + 1e-12
+                                and bs.lb_old - 1e-12 <= ex):
+                            failures.append((n, m, q, esr, erd, bs.lb_old, bs.lb_new, ex,
+                                             bs.ub_new))
+    assert total == 1638
+    _report("criterion 1 (exact oracle past its guard sandwiched by the new bounds and "
+            "above the classic lower bound)", failures, total)
+
+
 def test_criterion_2_single_source_pinch():
     failures, total = [], 0
     for m in range(1, 11):
@@ -174,10 +199,18 @@ def test_criterion_4_upper_dominance(identity_grid):
 
 
 def test_criterion_5_lower_dominance(preset_runs):
-    # The lower-bound dominance claim is empirical: counterexamples are
-    # logged loudly rather than asserted away (the zero-column mixture can
-    # fall below the classic closed form by Jensen's inequality, and the
-    # column-dependence term does not always compensate).
+    """The lower-bound dominance claim is empirical: counterexamples are
+    logged loudly rather than asserted away (the zero-column mixture can
+    fall below the classic closed form by Jensen's inequality, and the
+    column-dependence term does not always compensate).
+
+    Whether the classic ``lb_old`` bounds the failure probability at all is
+    open: its columns share the relay erasures, and by the Harris inequality
+    the probability of an all-zero column is at most ``lb_old``, so only
+    rank failures without a zero column can close the gap.  They did at all
+    1,638 points of the past-the-guard sweep of criterion 1 (N <= 4, M =
+    N..3N, q <= 5), by at least 1.4e-5 wherever N >= 2 (equality at N = 1).
+    """
     violations, total = [], 0
     for name, pts in preset_runs.items():
         for p, bs, _ in pts:

@@ -50,6 +50,29 @@ def test_params_reject_non_integer_counts(args):
         P(*args)
 
 
+@pytest.mark.parametrize("bad", [True, False, "0.5", None, 0.5j, math.nan])
+@pytest.mark.parametrize("field", ["eps_sr", "eps_rd"])
+def test_params_reject_non_real_and_nan_erasure_rates(field, bad):
+    args = {"eps_sr": 0.3, "eps_rd": 0.1, field: bad}
+    with pytest.raises(ValueError, match=field):
+        NetworkParams(3, 5, 4, **args)
+
+
+def test_params_store_erasure_rates_as_floats(monkeypatch):
+    for esr, erd in ((0, 1), (Fraction(1, 4), np.float64(0.5)), (np.float32(0.25), 0)):
+        p = P(3, 5, 4, esr, erd)
+        assert type(p.eps_sr) is float and type(p.eps_rd) is float
+        assert (p.eps_sr, p.eps_rd) == (float(esr), float(erd))
+    # an int 0 is +0.0: the same zero-column bits as 0.0, and the same tables
+    monkeypatch.setattr(bounds, "_last_tables", (None, ()))
+    want = evaluate_all(P(3, 5, 4, 0.0, 0.1)).tables
+    stored = bounds._last_tables
+    got = evaluate_all(P(3, 5, 4, 0, 0.1)).tables
+    assert [math.copysign(1.0, z) for z in got.zero_column_prob] == [1.0] * 6
+    assert got == want
+    assert bounds._last_tables is stored  # reused, not rebuilt
+
+
 # ---------------------------------------------------------------------------
 # row zero-sum probability
 

@@ -3,18 +3,16 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
 
 from rlnc_bounds.bounds import NetworkParams, evaluate_all
 from rlnc_bounds.fields import entry_dtype, make_field
-from rlnc_bounds import simulate
+from rlnc_bounds import cli, simulate
 from rlnc_bounds.simulate import StateSpaceExceeded, estimate_pfail, exact_pfail
 import support
-from support import (exact_pfail_full_joint, sample_received_matrix, scalar_rank,
-                     trial_rng)
+from support import exact_pfail_full_joint, sample_received_matrix, scalar_rank, trial_rng
 
 
 def P(n, m, q, esr, erd):
@@ -108,33 +106,66 @@ def test_exact_frozen_value_and_state_count():
     assert r.state_count == 512  # 2^(3*2) matrices x 2^3 erasure patterns
 
 
-def _scalar_zero_counts(q, cols, rows):
-    f = make_field(q)
-    hist = [0] * (rows * cols + 1)
-    for ent in product(range(q), repeat=rows * cols):
-        mat = [ent[i * cols:(i + 1) * cols] for i in range(rows)]
-        if scalar_rank(f, mat, cols) < cols:
-            hist[ent.count(0)] += 1
-    return tuple(hist)
-
-
-# rows = 0, rows < cols, rows = cols and rows > cols; 2^9 = 512 and 3^6 = 729
-# matrices are not multiples of the patched chunk of 7
+# rows = 0, rows < cols, rows = cols and rows > cols
 ZERO_COUNT_CASES = [(2, 3, 0), (2, 3, 2), (2, 3, 3), (2, 2, 4), (3, 2, 3), (4, 2, 2),
                     (5, 2, 2), (9, 2, 2), (9, 1, 3)]
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
-def test_singular_zero_counts_match_scalar_enumeration(monkeypatch, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(simulate, "_ORACLE_CHUNK", chunk)
-    simulate._singular_zero_counts.cache_clear()
+@pytest.mark.parametrize("q, cols, rows", ZERO_COUNT_CASES)
+def test_conditional_failure_matches_matrix_enumeration(q, cols, rows):
+    # P(fail | r) is exact_pfail with no relay erasures; r = 0 delivered rows
+    # is one relay that is always erased
+    m, erd = (rows, 0.0) if rows else (1, 1.0)
+    hist = support.singular_zero_counts(make_field(q), cols, rows)
+    for esr in (0.0, 0.3, 0.5, 0.9, 1 / q, 1.0):
+        want = support.pfail_from_zero_counts(hist, q, Fraction(esr))
+        assert exact_pfail(P(cols, m, q, esr, erd)).p_fail == float(want), (esr, want)
+
+
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("q, n", [(q, n) for q in (2, 3, 4, 5, 9) for n in (1, 2, 3)]
+                         + [(2, 4), (3, 4)])
+def test_echelon_enumeration_finds_every_subspace_once(q, n):
+    dims, enums = simulate._subspaces(q, n)
+    assert np.bincount(dims, minlength=n + 1).tolist() == [
+        _gaussian_binomial(n, k, q) for k in range(n + 1)]
+    assert (enums.sum(axis=1) == q ** dims).all()
+    codims = n - dims
+    assert sum((-1) ** d * q ** (d * (d - 1) // 2) for d in codims.tolist()) == 0
+    # a nonzero vector lies in [n - 1 choose k - 1]_q subspaces of dimension k,
+    # and there are C(n, z) (q - 1)^(n - z) with z zero coordinates
+    for k in range(1, n + 1):
+        got = enums[dims == k].sum(axis=0).tolist()
+        want = [math.comb(n, z) * (q - 1) ** (n - z) * _gaussian_binomial(n - 1, k - 1, q)
+                for z in range(n)]
+        assert got == want + [_gaussian_binomial(n, k, q)], k
+
+
+def test_an_exact_relay_sweep_ranks_once(monkeypatch, capsys):
+    # the subspace table is built once per (q, N), whatever M
+    calls, rank_batch = [], simulate.rank_batch
+
+    def counted(field, mats):
+        calls.append(mats.shape)
+        return rank_batch(field, mats)
+
+    monkeypatch.setattr(simulate, "rank_batch", counted)
+    simulate._mobius_classes.cache_clear()
     try:
-        for q, cols, rows in ZERO_COUNT_CASES:
-            got = simulate._singular_zero_counts(q, cols, rows)
-            assert got == _scalar_zero_counts(q, cols, rows), (q, cols, rows)
+        assert cli.main(["sweep", "--axis", "relays", "--values", "2,3,4,5,6",
+                         "--sources", "2", "--relays", "2", "--field", "3",
+                         "--eps-sr", "0.3", "--eps-rd", "0.1", "--no-sim", "--exact"]) == 0
     finally:
-        simulate._singular_zero_counts.cache_clear()
+        simulate._mobius_classes.cache_clear()
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert calls == [(4 * 9, 3, 2)]  # the 4 lines of F_3^2 against its 9 vectors
 
 
 def test_exact_guard_rejects_large_instances():
