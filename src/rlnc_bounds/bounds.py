@@ -42,11 +42,13 @@ the scalar loop does.
 
 Of the per-count tables only ``delivery_pmf`` depends on M or eps_rd; the
 other four depend on (N, q, eps_sr) alone, and each entry on its own r
-alone.  So :func:`evaluate_all` keeps them for the last (N, q, eps_sr) it
-evaluated, for r = 0..R: a point with the same key slices them if M <= R,
-or computes r = R+1..M only and appends those, and any other key replaces
-them.  Extending a table cannot change a bit, and a relay or eps_rd sweep
-builds each table once.  The key holds eps_sr's bits (``float.hex``), not
+alone, as do the per-weight terms of the null-vector series.  So
+:func:`evaluate_all` keeps those terms and tables for the last (N, q, eps_sr)
+it evaluated, for r = 0..R: a point with the same key builds only its
+classic-bound exponents and slices the tables if M <= R, or computes
+r = R+1..M only and appends those, and any other key replaces them.
+Extending a table cannot change a bit, and a relay or eps_rd sweep builds
+each table once.  The key holds eps_sr's bits (``float.hex``), not
 its value, since 0.0 == -0.0 but the two give zeros of opposite signs in
 ``zero_column_prob`` (:class:`NetworkParams` stores eps_sr as a float, so
 an int 0 is +0.0).  Key and tables are one tuple, read once and rebound
@@ -118,26 +120,21 @@ def _row_zero_sums_raw(params: NetworkParams) -> list[float]:
     return [qinv + (1.0 - qinv) * base**w for w in range(1, params.n_sources + 1)]
 
 
-def _weight_terms(params: NetworkParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _weight_terms(params: NetworkParams) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Per weight w = 1..N (one row each), the parts of the null-vector
-    series' exponents prefix_w + r log v_w: the prefix
-    log C(N, w) + (w - 1) log(q - 1) and log gamma_w as (N, 1) columns, and
-    the (N, 2) exponents of two whole series, the classic bound's and that of
-    r = 0 (0^0 = 1, where 0 * log 0 would be nan).  The classic bound's has
-    M rows with v_w = eps_rd + (1 - eps_rd) gamma_w, a row erased on its way
-    to the destination counting as zero.  A zero probability has log -inf.
+    series' exponents prefix_w + r log v_w that depend on (N, q, eps_sr)
+    alone: the prefix log C(N, w) + (w - 1) log(q - 1) and log gamma_w as
+    (N, 1) columns, and gamma_w as a list.  A zero probability has log -inf.
 
     gamma_w, the probability that ``w`` coding coefficients sum to zero, is
     clamped into [0, 1], which its raw value leaves by rounding only; at
     w = 1 the algebra collapses to eps_sr, which is used exactly."""
-    n, m, q, erased = params.n_sources, params.n_relays, params.q, params.eps_rd
+    n, q = params.n_sources, params.q
     lq1 = math.log(q - 1.0) if q > 2 else 0.0
     prefix = [lc + (w - 1) * lq1 for w, lc in enumerate(_log_combs(n)[1:], 1)]
     gammas = [params.eps_sr] + [min(1.0, max(0.0, g)) for g in _row_zero_sums_raw(params)[1:]]
     logs = [math.log(g) if g else -math.inf for g in gammas]
-    head = [[(p + m * math.log(v)) if (v := erased + (1.0 - erased) * g) else -math.inf, p]
-            for p, g in zip(prefix, gammas)]
-    return np.array(prefix)[:, None], np.array(logs)[:, None], np.array(head)
+    return np.array(prefix)[:, None], np.array(logs)[:, None], gammas
 
 
 def _series_sums(x: np.ndarray) -> list[float]:
@@ -221,27 +218,36 @@ def _zero_column_probs(n: int, eps_sr: float, lo: int, hi: int) -> list[float]:
     return [_any_of(n, eps_sr**r) for r in range(lo, hi + 1)]  # 0^0 = 1
 
 
-# The per-count tables of the last (N, q, eps_sr) evaluated, for r = 0..R, as
-# one (key, (expected_null_vectors, dependence_ub, dependence_lb,
-# zero_column_prob)) tuple; read once and rebound once, so that a caller never
-# pairs one key with another key's tables
-_last_tables: tuple = (None, ())
+# The weight terms and per-count tables of the last (N, q, eps_sr) evaluated,
+# for r = 0..R, as one (key, (prefix, log_gammas, gammas), (expected_null_vectors,
+# dependence_ub, dependence_lb, zero_column_prob)) tuple; read once and rebound
+# once, so that a caller never pairs one key with another key's terms
+_last_tables: tuple = (None, None, ())
 
 
-def _per_count_tables(params: NetworkParams, prefix: np.ndarray, log_gammas: np.ndarray,
-                      head: np.ndarray) -> tuple[float, tuple[tuple[float, ...], ...]]:
+def _per_count_tables(params: NetworkParams) -> tuple[float, tuple[tuple[float, ...], ...]]:
     """The classic bound's series (``ub_old_raw``) and the four per-count
-    tables for r = 0..M, reusing those of the previous call where it had the
-    same (N, q, eps_sr): sliced if it reached M, extended by r = R+1..M if it
-    reached only R."""
+    tables for r = 0..M, reusing the weight terms and tables of the previous
+    call where it had the same (N, q, eps_sr): sliced if it reached M,
+    extended by r = R+1..M if it reached only R."""
     global _last_tables
     n, m, q, eps = params.n_sources, params.n_relays, params.q, params.eps_sr
     # the float's bits: 0.0 and -0.0 give zeros of different signs
     key = (n, q, eps.hex())
-    last_key, stored = _last_tables
-    lo = len(stored[0]) if key == last_key else 0
-    # from r = 0 the r = 0 column rides along too, since r * log 0 would be nan
-    raw, *nulls = _null_vector_sums(prefix, log_gammas, head if lo == 0 else head[:, :1],
+    last_key, weights, stored = _last_tables
+    if key != last_key:
+        weights, stored = _weight_terms(params), ()
+    prefix, log_gammas, gammas = weights
+    lo = len(stored[0]) if stored else 0
+    # the classic bound's exponents: M rows with v_w = eps_rd + (1 - eps_rd)
+    # gamma_w, a row erased on its way to the destination counting as zero
+    erased = params.eps_rd
+    logs = [math.log(v) if (v := erased + (1.0 - erased) * g) else -math.inf for g in gammas]
+    first = prefix + m * np.array(logs)[:, None]
+    # from r = 0 the r = 0 column, prefix alone, rides along too, since
+    # r * log 0 would be nan
+    raw, *nulls = _null_vector_sums(prefix, log_gammas,
+                                    np.concatenate((first, prefix), axis=1) if lo == 0 else first,
                                     max(lo, 1), m)
     if lo > m:
         return raw, tuple(t[:m + 1] for t in stored)
@@ -250,7 +256,7 @@ def _per_count_tables(params: NetworkParams, prefix: np.ndarray, log_gammas: np.
     tables = tuple(map(tuple, (nulls, dep_ub, dep_lb, _zero_column_probs(n, eps, lo, m))))
     if lo:
         tables = tuple(old + new for old, new in zip(stored, tables))
-    _last_tables = (key, tables)
+    _last_tables = (key, weights, tables)
     return raw, tables
 
 
@@ -314,7 +320,7 @@ def evaluate_all(params: NetworkParams) -> BoundSet:
     """
     m = params.n_relays
     pmf = _delivery_pmf(m, params.eps_rd)
-    raw, tables = _per_count_tables(params, *_weight_terms(params))
+    raw, tables = _per_count_tables(params)
     nulls, dep_ub, dep_lb, zerocol = tables
     up = low = 0.0  # added in order: sum() compensates its rounding from Python 3.12 on
     for wt, du, v, dl, z in zip(pmf, dep_ub, nulls, dep_lb, zerocol):

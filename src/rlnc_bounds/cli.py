@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -111,8 +112,9 @@ def _simulate_points(points, trials: int, seed: int) -> list[SimEstimate]:
     """Simulate every point on a thread pool, one task a point, submitted
     group by group of equal (N, M); return the estimates in point order.
 
-    numpy releases the interpreter lock in the simulator's draws and rank
-    updates, so the threads overlap.  The first error ends the run: points
+    numpy releases the interpreter lock only inside its array loops, so the
+    threads overlap on large arrays (the draws) and little on small ones
+    (the bit-sliced rank kernel's).  The first error ends the run: points
     still queued are cancelled, and only those already running finish.
     """
     # imported here: it brings in logging, 0.8 MB of peak memory that runs
@@ -174,6 +176,9 @@ def _add_param_args(sp, required: bool) -> None:
                     help="relay-to-destination erasure probability")
 
 
+# built once per process: argparse makes a fresh namespace on every parse,
+# and callers that run main() many times skip 0.6-0.7 ms a run
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rlnc-bounds",
                                  description="Decoding-failure bounds, simulation and "

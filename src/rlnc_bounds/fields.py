@@ -104,16 +104,31 @@ def _poly_rem(num, den, p: int) -> tuple[int, ...]:
 
 
 def _is_irreducible(poly, p: int) -> bool:
-    """Trial division of a monic polynomial of degree m >= 1 by every monic
-    polynomial of degree <= m/2."""
-    m = len(poly) - 1
-    if poly[0] == 0:  # divisible by x
-        return m == 1
-    for d in range(1, m // 2 + 1):
-        for enc in range(p**d):
-            div = _digits(enc, p, d) + (1,)
-            if not any(_poly_rem(poly, div, p)):
-                return False
+    """Ben-Or's test of a monic f of degree m >= 1: f is irreducible when
+    gcd(x^(p^i) - x, f) = 1 for every i <= m/2, since x^(p^i) - x is the
+    product of the monic irreducibles of degree dividing i."""
+
+    def mulmod(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return _poly_rem(prod, poly, p)
+
+    h = (0, 1)  # x^(p^i) mod f, never shorter than x
+    for _ in range((len(poly) - 1) // 2):  # i = 1..m/2
+        frob = h
+        for bit in bin(p)[3:]:  # h^p, by square and multiply
+            frob = mulmod(frob, frob) if bit == "0" else mulmod(mulmod(frob, frob), h)
+        h = frob
+        # Euclid on (x^(p^i) - x, f), each divisor made monic
+        a, f = [h[0], (h[1] - 1) % p, *h[2:]], poly
+        while any(a):
+            a = a[:max(k for k, c in enumerate(a) if c) + 1]
+            inv = pow(a[-1], -1, p)
+            a, f = list(_poly_rem(f, [c * inv % p for c in a], p)), [c * inv % p for c in a]
+        if len(f) > 1:
+            return False
     return True
 
 

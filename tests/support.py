@@ -27,7 +27,7 @@ import numpy as np
 
 from rlnc_bounds.bounds import (BoundSet, NetworkParams, PerDeliveryTables, _lb_old,
                                 _row_zero_sums_raw)
-from rlnc_bounds.fields import FieldSpec, _dense_tables
+from rlnc_bounds.fields import FieldSpec, _dense_tables, _digits, _poly_rem
 
 
 def prime_power_by_trial_division(q: int) -> tuple[int, int] | None:
@@ -47,6 +47,20 @@ def prime_power_by_trial_division(q: int) -> tuple[int, int] | None:
         n //= p
         m += 1
     return (p, m) if n == 1 else None
+
+
+def least_irreducible_by_trial_division(p: int, m: int) -> tuple[int, ...]:
+    """The lexicographically least monic irreducible of degree m over F_p,
+    as ``fields._least_irreducible`` orders the candidates, each tested by
+    dividing it by every monic polynomial of degree <= m/2."""
+    for enc in range(p**m):
+        cand = _digits(enc, p, m) + (1,)
+        if cand[0] == 0 and m > 1:  # divisible by x
+            continue
+        if all(any(_poly_rem(cand, _digits(e, p, d) + (1,), p))
+               for d in range(1, m // 2 + 1) for e in range(p**d)):
+            return cand
+    raise AssertionError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
 class ScalarOps(NamedTuple):

@@ -64,7 +64,7 @@ def test_params_store_erasure_rates_as_floats(monkeypatch):
         assert type(p.eps_sr) is float and type(p.eps_rd) is float
         assert (p.eps_sr, p.eps_rd) == (float(esr), float(erd))
     # an int 0 is +0.0: the same zero-column bits as 0.0, and the same tables
-    monkeypatch.setattr(bounds, "_last_tables", (None, ()))
+    monkeypatch.setattr(bounds, "_last_tables", (None, None, ()))
     want = evaluate_all(P(3, 5, 4, 0.0, 0.1)).tables
     stored = bounds._last_tables
     got = evaluate_all(P(3, 5, 4, 0, 0.1)).tables
@@ -455,7 +455,7 @@ def test_array_evaluation_equals_the_scalar_loops_bit_for_bit():
 @pytest.mark.parametrize("block", [1, 3, 50])
 def test_block_size_changes_no_bit(monkeypatch, block):
     monkeypatch.setattr(bounds, "_BLOCK", block)
-    monkeypatch.setattr(bounds, "_last_tables", (None, ()))  # every table built here
+    monkeypatch.setattr(bounds, "_last_tables", (None, None, ()))  # every table built here
     for p in (NetworkParams(7, 21, 64, 0.3, 0.1), NetworkParams(20, 25, 4, 0.0, 0.1),
               NetworkParams(50, 80, 2**31 - 1, 0.9, 0.0)):
         assert _bitwise_differences(evaluate_all(p), scalar_evaluate_all(p)) == [], p
@@ -474,7 +474,7 @@ def test_reused_tables_keep_every_bit_in_any_order(monkeypatch, sweep):
     shuffled = sweep[:]
     np.random.default_rng(7).shuffle(shuffled)
     for order in (sweep, sweep[::-1], shuffled):
-        monkeypatch.setattr(bounds, "_last_tables", (None, ()))
+        monkeypatch.setattr(bounds, "_last_tables", (None, None, ()))
         for p in order:
             assert _bitwise_differences(evaluate_all(p), want[p]) == [], p
 
@@ -516,25 +516,62 @@ def test_concurrent_callers_get_their_own_tables():
     assert diffs == [] and len(done) == 2 * 100 * 5
 
 
+def test_a_build_interrupted_by_another_key_leaves_no_stale_terms(monkeypatch):
+    # one caller is held inside its weight-term build while another key is
+    # evaluated in full, the interleaving that random thread switches reach
+    # too rarely; later points of either key must still get their own terms
+    a, b = NetworkParams(20, 25, 64, 0.3, 0.1), NetworkParams(20, 40, 64, 0.4, 0.1)
+    weight_terms = bounds._weight_terms
+    entered, release = threading.Event(), threading.Event()
+
+    def held(p):
+        if p is a:
+            entered.set()
+            release.wait(10)
+        return weight_terms(p)
+
+    monkeypatch.setattr(bounds, "_weight_terms", held)
+    monkeypatch.setattr(bounds, "_last_tables", (None, None, ()))
+    got = {}
+    thread = threading.Thread(target=lambda: got.update({a: evaluate_all(a)}))
+    thread.start()
+    assert entered.wait(10)
+    got[b] = evaluate_all(b)
+    release.set()
+    thread.join(10)
+    assert not thread.is_alive() and a in got
+    for p in (NetworkParams(20, 30, 64, 0.4, 0.1), NetworkParams(20, 30, 64, 0.3, 0.1)):
+        got[p] = evaluate_all(p)
+    assert {p: _bitwise_differences(bs, scalar_evaluate_all(p)) for p, bs in got.items()} == {
+        p: [] for p in got}
+
+
 def test_a_relay_sweep_builds_each_count_once(monkeypatch):
     # M = 200..600 in steps of 40: one column per r = 0..600, plus the classic
-    # bound's column at each of the 11 points
-    columns = []
-    series_sums = bounds._series_sums
+    # bound's column at each of the 11 points, and the weight terms once
+    columns, weights = [], []
+    series_sums, weight_terms = bounds._series_sums, bounds._weight_terms
 
     def counted(x):
         columns.append(x.shape[1])
         return series_sums(x)
 
+    def counted_weights(p):
+        weights.append(p)
+        return weight_terms(p)
+
     monkeypatch.setattr(bounds, "_series_sums", counted)
-    monkeypatch.setattr(bounds, "_last_tables", (None, ()))
+    monkeypatch.setattr(bounds, "_weight_terms", counted_weights)
+    monkeypatch.setattr(bounds, "_last_tables", (None, None, ()))
     for p in RELAY_SWEEP:
         evaluate_all(p)
     assert sum(columns) == 601 + len(RELAY_SWEEP)
+    assert weights == RELAY_SWEEP[:1]
     columns.clear()
     for p in RELAY_SWEEP[::-1]:  # every table now within reach: the classic columns only
         evaluate_all(p)
     assert columns == [1] * len(RELAY_SWEEP)
+    assert weights == RELAY_SWEEP[:1]
 
 
 def test_accumulate_adds_along_an_axis_left_to_right():

@@ -419,6 +419,20 @@ def test_missing_required_flags_exit_with_usage_error():
     assert run_cli("bounds", "--sources", "2")[0] == 2
 
 
+def test_a_reused_parser_keeps_every_output(monkeypatch):
+    point = ["--sources", "2", "--relays", "3", "--field", "3", "--eps-sr", "0.2",
+             "--eps-rd", "0.1"]
+    argvs = [["sweep", "--preset", "fig2", "--no-sim"], ["bounds", *point],
+             ["bounds", "--sources", "2"], ["exact", *point], ["--help"],
+             ["sweep", "--preset", "fig2", "--no-sim"]]
+    got = [run_cli(*argv) for argv in argvs]  # one parser for all six runs
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    want = [run_cli(*argv) for argv in argvs]  # a fresh parser a run
+    assert [code for code, _, _ in want] == [0, 0, 2, 0, 0, 0]
+    assert got == want
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_out_of_range_seed_exits_with_usage_error(seed):
     code, out, err = run_cli("sweep", "--preset", "fig3", "--trials", "10", "--seed", seed)

@@ -8,7 +8,8 @@ from rlnc_bounds import fields
 from rlnc_bounds.bounds import NetworkParams
 from rlnc_bounds.fields import (FieldSpec, _dense_tables, _inv_table, _prime_power, entry_dtype,
                                 make_field)
-from support import check_field_axioms, prime_power_by_trial_division, scalar_ops
+from support import (check_field_axioms, least_irreducible_by_trial_division,
+                     prime_power_by_trial_division, scalar_ops)
 
 ALL_PRIME_POWERS_256 = [q for q in range(2, 257) if prime_power_by_trial_division(q)]
 
@@ -36,6 +37,14 @@ def test_fixed_reduction_polynomials():
     assert make_field(64).reduction_polynomial == (1, 1, 0, 0, 0, 0, 1)
     assert make_field(256).reduction_polynomial == (1, 1, 0, 1, 1, 0, 0, 0, 1)
     assert make_field(9).reduction_polynomial == (1, 0, 1)             # x^2+1 over F_3
+
+
+def test_ben_or_finds_the_trial_division_polynomial():
+    # every (p, m) with p^m <= 2^16, m = 1 (the polynomial x) at every prime
+    pairs = [pp for q in range(2, fields.MAX_ORDER + 1) if (pp := _prime_power(q))]
+    assert len(pairs) == 6635
+    for p, m in pairs:
+        assert fields._least_irreducible(p, m) == least_irreducible_by_trial_division(p, m), (p, m)
 
 
 def test_rejects_non_prime_powers():
