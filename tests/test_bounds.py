@@ -542,8 +542,8 @@ def test_a_build_interrupted_by_another_key_leaves_no_stale_terms(monkeypatch):
     assert not thread.is_alive() and a in got
     for p in (NetworkParams(20, 30, 64, 0.4, 0.1), NetworkParams(20, 30, 64, 0.3, 0.1)):
         got[p] = evaluate_all(p)
-    assert {p: _bitwise_differences(bs, scalar_evaluate_all(p)) for p, bs in got.items()} == {
-        p: [] for p in got}
+    for p, bs in got.items():
+        assert _bitwise_differences(bs, scalar_evaluate_all(p)) == [], p
 
 
 def test_a_relay_sweep_builds_each_count_once(monkeypatch):
