@@ -26,7 +26,7 @@ import sys
 from .bounds import NetworkParams, evaluate_all
 from .fields import MAX_ORDER
 from .simulate import (BATCH_TRIALS, SimEstimate, StateSpaceExceeded, TrialDraws,
-                       check_seed, estimate_pfail, exact_pfail)
+                       check_run, estimate_pfail, exact_pfail)
 
 COLUMNS = ["n", "m", "q", "eps_sr", "eps_rd", "mu0", "lb_old", "lb_new",
            "sim_estimate", "sim_ci_low", "sim_ci_high", "ub_new",
@@ -74,15 +74,6 @@ def _checked_params(**kw) -> NetworkParams:
         raise DomainError(str(e)) from e
 
 
-def _param_kw(args) -> dict:
-    return dict(n_sources=args.sources, n_relays=args.relays, q=args.field,
-                eps_sr=args.eps_sr, eps_rd=args.eps_rd)
-
-
-def _base_params(args) -> NetworkParams:
-    return _checked_params(**_param_kw(args))
-
-
 def _check_output(path: str) -> None:
     """Reject an ``--output`` path that cannot be written, before any point
     is computed."""
@@ -96,8 +87,6 @@ def _check_output(path: str) -> None:
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, int):
-        return str(x)
     return format(float(x), ".12g")
 
 
@@ -139,8 +128,8 @@ def _simulate_points(points, trials: int, seed: int) -> list[SimEstimate]:
         pool.shutdown(cancel_futures=True)
 
 
-def _emit_rows(points, out, trials: int, seed: int, with_sim: bool,
-               with_exact: bool) -> None:
+def _emit_rows(points, out, trials: int | None, seed: int | None, with_exact: bool) -> None:
+    """Write one CSV row per point; ``trials=None`` simulates none."""
     writer = csv.writer(out, lineterminator="\n")
     header = COLUMNS + (["exact_pfail"] if with_exact else [])
     writer.writerow(header)
@@ -151,7 +140,7 @@ def _emit_rows(points, out, trials: int, seed: int, with_sim: bool,
     # the exact oracle runs first, serially, so that its guard stops a run
     # before anything is simulated
     exact = [exact_pfail(p).p_fail for p in points] if with_exact else None
-    sims = _simulate_points(points, trials, seed) if with_sim else [None] * len(points)
+    sims = [None] * len(points) if trials is None else _simulate_points(points, trials, seed)
     for i, (p, sim) in enumerate(zip(points, sims)):
         bs = evaluate_all(p)
         row = [p.n_sources, p.n_relays, p.q, _fmt(p.eps_sr), _fmt(p.eps_rd),
@@ -188,6 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="evaluate the analytical bounds at one point")
     _add_param_args(b, required=True)
     b.add_argument("--output", help="write CSV here instead of stdout")
+    # no flags: bounds and exact never simulate, and exact always adds its column
+    b.set_defaults(no_sim=True, exact=False)
 
     s = sub.add_parser("sweep", help="sweep a parameter axis or a figure preset")
     _add_param_args(s, required=False)
@@ -207,22 +198,31 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("exact", help="exact failure probability for a tiny instance")
     _add_param_args(e, required=True)
     e.add_argument("--output", help="write CSV here instead of stdout")
+    e.set_defaults(no_sim=True, exact=True)
     return ap
 
 
-def _sweep_points(args) -> list[NetworkParams]:
+def _points(args) -> list[NetworkParams]:
+    """The points a command runs: the one base point of ``bounds`` and
+    ``exact``, or a sweep's preset grid or axis values."""
+    base = dict(n_sources=args.sources, n_relays=args.relays, q=args.field,
+                eps_sr=args.eps_sr, eps_rd=args.eps_rd)
+    if args.command != "sweep":
+        return [_checked_params(**base)]
+    flags = dict(zip(("--sources", "--relays", "--field", "--eps-sr", "--eps-rd", "--values"),
+                     (*base.values(), args.values)))
     if args.preset and args.axis:
         raise DomainError("--preset and --axis are mutually exclusive")
     if args.preset:
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise DomainError(f"--preset fixes every parameter; drop {', '.join(given)}")
         return [_checked_params(**kw) for kw in _PRESETS[args.preset]]
     if not args.axis:
         raise DomainError("sweep needs --preset or --axis")
-    missing = [f for f in ("sources", "relays", "field", "eps_sr", "eps_rd")
-               if getattr(args, f) is None]
+    missing = [flag for flag, value in flags.items() if value is None]
     if missing:
-        raise DomainError(f"--axis sweeps need base parameters; missing: {', '.join(missing)}")
-    if not args.values:
-        raise DomainError("--axis sweeps need --values")
+        raise DomainError(f"--axis sweeps need {', '.join(missing)}")
     axis_field = {"eps-sr": "eps_sr", "eps-rd": "eps_rd", "relays": "n_relays", "q": "q"}[args.axis]
     try:
         if axis_field in ("n_relays", "q"):
@@ -233,7 +233,6 @@ def _sweep_points(args) -> list[NetworkParams]:
         raise DomainError(f"bad --values list: {args.values}") from exc
     # each point replaces the swept axis's base value, so only the points
     # are validated
-    base = _param_kw(args)
     return [_checked_params(**{**base, axis_field: v}) for v in values]
 
 
@@ -250,22 +249,13 @@ def main(argv=None) -> int:
     try:
         if args.output:
             _check_output(args.output)
-        if args.command == "bounds":
-            _emit_rows([_base_params(args)], out, trials=0, seed=0, with_sim=False,
-                       with_exact=False)
-        elif args.command == "sweep":
-            if not args.no_sim:
-                if args.trials < 1:
-                    raise DomainError(f"trials must be >= 1, got {args.trials}")
-                try:
-                    check_seed(args.seed)
-                except ValueError as e:
-                    raise DomainError(str(e)) from e
-            _emit_rows(_sweep_points(args), out, trials=args.trials, seed=args.seed,
-                       with_sim=not args.no_sim, with_exact=args.exact)
-        else:  # exact
-            _emit_rows([_base_params(args)], out, trials=0, seed=0, with_sim=False,
-                       with_exact=True)
+        trials, seed = (None, None) if args.no_sim else (args.trials, args.seed)
+        if trials is not None:
+            try:
+                check_run(trials, seed)
+            except ValueError as e:
+                raise DomainError(str(e)) from e
+        _emit_rows(_points(args), out, trials, seed, args.exact)
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

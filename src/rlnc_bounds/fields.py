@@ -234,6 +234,8 @@ class FieldSpec:
     log_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.q) is not int:  # bool is an int subclass; numpy ints lack bit_length
+            raise TypeError(f"field order must be an integer, got {type(self.q).__name__}")
         if self.q > MAX_ORDER:
             raise ValueError(f"field order must be at most 2^16, got {self.q}")
         pp = _prime_power(self.q)
@@ -254,8 +256,6 @@ class FieldSpec:
 def make_field(q: int) -> FieldSpec:
     """F_q with the fixed reduction polynomial for (p, m), for every prime
     power 2 <= q <= 2^16; rejects everything else."""
-    if not isinstance(q, int) or isinstance(q, bool):
-        raise TypeError(f"field order must be an integer, got {type(q).__name__}")
     return FieldSpec(q)
 
 

@@ -48,12 +48,20 @@ def rank_batch(field: FieldSpec, mats) -> np.ndarray:
     mats = np.asarray(mats)
     if mats.ndim != 3:
         raise ValueError(f"expected a (batch, rows, cols) stack, got shape {mats.shape}")
+    if mats.dtype != bool and not np.issubdtype(mats.dtype, np.integer):
+        raise ValueError(f"entries must be integers, got dtype {mats.dtype}")
     nb, nrows, ncols = mats.shape
     if nb == 0 or nrows == 0 or ncols == 0:
         return np.zeros(nb, dtype=np.int64)
-    if field.q in (2, 4):
-        return _rank_batch_sliced(mats, field.m)
     q = field.q
+    # an entry outside [0, q) would give a wrong rank; every entry of a bool
+    # stack, or of an unsigned dtype that cannot hold q, lies inside
+    if mats.dtype != bool:
+        info = np.iinfo(mats.dtype)
+        if info.max >= q and mats.max() >= q or info.min < 0 and mats.min() < 0:
+            raise ValueError(f"entries must lie in [0, {q})")
+    if q in (2, 4):
+        return _rank_batch_sliced(mats, field.m)
     dt = entry_dtype(q)
     if field.m == 1:
         # a + f*(q - p) <= q*q - 1 before the reduction

@@ -117,9 +117,11 @@ def _coefficients_from_uniform(u: np.ndarray, eps_sr: float, q: int) -> np.ndarr
     return out
 
 
-def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is a valid master seed, an int in [0, 2^64)."""
-    if type(seed) is not int or not 0 <= seed <= _MASK64:  # bool is an int subclass
+def check_run(trials: int, seed: int) -> None:
+    """Raise ValueError unless ``trials`` is an int >= 1 and ``seed`` one in [0, 2^64)."""
+    if type(trials) is not int or trials < 1:  # bool is an int subclass
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if type(seed) is not int or not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
@@ -139,12 +141,10 @@ class TrialDraws:
 
     def __init__(self, n_sources: int, n_relays: int, trials: int, seed: int = 0,
                  batch_size: int = BATCH_TRIALS, readers: int = 1):
-        if type(trials) is not int or trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        check_run(trials, seed)
         for name, value in (("batch_size", batch_size), ("readers", readers)):
             if type(value) is not int or value < 1:  # bool is an int subclass
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        check_seed(seed)
         self.key = (n_sources, n_relays, trials, seed)
         self._stride = -(-(n_relays * n_sources + n_relays) // 4)
         # applied here, not per point, so that every reader sees the same batches

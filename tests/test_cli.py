@@ -2,7 +2,9 @@ import concurrent.futures
 import csv
 import inspect
 import io
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -17,7 +19,8 @@ from rlnc_bounds import cli, fields, simulate
 from rlnc_bounds.bounds import NetworkParams
 from rlnc_bounds.cli import COLUMNS, main
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
 import selftest  # noqa: E402  (the benchmark's own self-tests)
 import worker  # noqa: E402  (the names the benchmark reads from the package)
 import workloads  # noqa: E402  (the benchmark's workloads and reference bytes)
@@ -165,6 +168,33 @@ def test_sweep_argument_validation():
                            "--sources", "2", "--relays", "3", "--field", "2",
                            "--eps-sr", "0.1", "--eps-rd", "0.1")
     assert code == 2
+
+
+BASE = ("--sources", "2", "--relays", "3", "--field", "2", "--eps-sr", "0.1", "--eps-rd", "0.1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--preset", "fig2", "--axis", "q"), "--preset and --axis are mutually exclusive"),
+    (("--axis", "q", *BASE), "--axis sweeps need --values"),
+    (("--axis", "eps-sr", "--values", "0.1", "--sources", "2"),
+     "--axis sweeps need --relays, --field, --eps-sr, --eps-rd\n"),
+    (("--axis", "q", "--values", "2,x", *BASE), "bad --values list: 2,x"),
+    (("--preset", "fig2", "--sources", "3"), "--preset fixes every parameter; drop --sources"),
+    (("--preset", "fig2", "--values", "1,2"), "drop --values"),
+    (("--preset", "fig3", *BASE, "--values", "1"),
+     "drop --sources, --relays, --field, --eps-sr, --eps-rd, --values"),
+    # trials and seed are checked before the points, trials first
+    (("--preset", "fig2", "--sources", "3", "--trials", "0"), "trials must be"),
+    (("--preset", "fig2", "--trials", "0", "--seed", "-1"), "trials must be"),
+    (("--preset", "fig2", "--sources", "3", "--seed", "-1"), "seed must be"),
+], ids=["preset-and-axis", "axis-without-values", "axis-without-base", "bad-values",
+        "preset-and-sources", "preset-and-values", "preset-and-every-flag",
+        "trials-before-points", "trials-before-seed", "seed-before-points"])
+def test_rejected_sweeps_name_their_fault_in_one_line(argv, message):
+    code, out, err = run_cli("sweep", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err, err
 
 
 @pytest.mark.parametrize("axis, base, good, bad", [
@@ -467,6 +497,43 @@ def test_unwritable_output_is_rejected_before_any_point(tmp_path, monkeypatch, a
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_final_write_exits_with_one_error_line(tmp_path, monkeypatch):
+    # the check before the run passes; the write itself is refused
+    def refuse(path, *args, **kw):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    target = tmp_path / "out.csv"
+    code, out, err = run_cli("bounds", *BASE, "--output", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --output {target}: Permission denied\n"
+    assert not target.exists()
+
+
+def test_usable_cores_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._usable_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert cli._usable_cores() == 1
+
+
+@pytest.mark.parametrize("want_code, argv", [
+    (0, ["bounds", *BASE]),
+    (2, ["bounds", "--sources", "2"]),
+    (3, ["exact", "--sources", "3", "--relays", "20", "--field", "64",
+         "--eps-sr", "0.2", "--eps-rd", "0.1"]),
+], ids=["bounds", "rejected", "guarded-exact"])
+def test_the_module_runs_as_a_program(want_code, argv):
+    proc = subprocess.run([sys.executable, "-m", "rlnc_bounds.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, timeout=120)
+    code, out, err = run_cli(*argv)
+    assert proc.returncode == code == want_code
+    assert proc.stdout == out.encode()
+    assert proc.stderr.decode().splitlines()[-1:] == err.splitlines()[-1:]
 
 
 # ---------------------------------------------------------------------------

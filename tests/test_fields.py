@@ -115,6 +115,14 @@ def test_fieldspec_rejects_orders_above_2_16(monkeypatch):
         FieldSpec(2**17)
 
 
+@pytest.mark.parametrize("q", [4.0, np.int64(4), True], ids=["float", "numpy-int", "bool"])
+def test_fieldspec_rejects_orders_that_are_not_ints(q):
+    make_field(4)  # a cached 4 must not answer for 4.0 or np.int64(4)
+    for build in (FieldSpec, make_field):
+        with pytest.raises(TypeError, match="field order must be an integer"):
+            build(q)
+
+
 def test_fieldspec_builds_its_own_tables():
     init = [f.name for f in dataclasses.fields(FieldSpec) if f.init]
     assert init == ["q"]

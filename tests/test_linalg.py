@@ -33,6 +33,26 @@ def test_empty_matrix():
     assert rank_batch(make_field(2), np.zeros((1, 0, 3), dtype=int)).tolist() == [0]
 
 
+@pytest.mark.parametrize("q, mats, message", [
+    (4, np.full((1, 2, 2), 7), r"\[0, 4\)"),
+    (64, np.full((1, 2, 2), 300), r"\[0, 64\)"),  # wraps to 44 in bytes
+    (3, np.full((1, 2, 2), 7), r"\[0, 3\)"),     # past the log table's end
+    (256, np.full((1, 2, 2), -1, dtype=np.int8), r"\[0, 256\)"),
+    (4, np.full((1, 2, 2), 1.5), "integers"),      # truncated to 1 in bytes
+    (4, np.eye(2, dtype=int), "stack"),
+], ids=["above-q-sliced", "above-q-int64", "above-q-prime", "negative", "float", "ndim"])
+def test_rank_batch_rejects_stacks_it_cannot_rank(q, mats, message):
+    with pytest.raises(ValueError, match=message):
+        rank_batch(make_field(q), mats)
+
+
+def test_rank_batch_ranks_bools_and_full_byte_ranges():
+    assert rank_batch(make_field(4), np.eye(3, dtype=bool)[None]).tolist() == [3]
+    mats = np.array([[[255, 1], [1, 255]]], dtype=np.uint8)  # every byte lies in [0, 256)
+    f = make_field(256)
+    assert rank_batch(f, mats).tolist() == [scalar_rank(f, mats[0], 2)]
+
+
 def test_input_is_not_mutated():
     f = make_field(2)
     ents = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
